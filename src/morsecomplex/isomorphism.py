@@ -9,14 +9,22 @@ large to materialise) supply their own defining family instead.
 The search assigns vertices in canonical label order and tries candidates in
 ascending order, so the first witness found is the lexicographically least
 one; iterated partition refinement over incidence profiles does the pruning.
+Twin pruning removes the rest of the waste on symmetric families: two
+vertices are twins when swapping them maps the family onto itself, so once a
+candidate's subtree dies, its unassigned twins would die too and are skipped.
+Twins are computed lazily, at a search's first dead end and only within
+refined colour classes, so searches that never backtrack pay nothing; the
+skipped subtrees yield nothing, so the bijections found, their order and the
+lexicographically least witness are exactly those of the unpruned search.
 Intended for desk-scale inputs (a few dozen vertices), exact always.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .complexes import Multigraph, SimplicialComplex, VertexBijection
+from .errors import TheoremContradictionError
 
 
 def _iso_structure(obj) -> tuple[tuple[str, ...], list[frozenset[int]]]:
@@ -70,6 +78,36 @@ def _refine(n_a: int, fams_a: list[frozenset[int]],
         n_classes = new_classes
 
 
+def twin_classes(n: int, family: Iterable[frozenset[int]],
+                 colours: Optional[list[int]] = None) -> list[int]:
+    """Per vertex, the least vertex of its twin class.
+
+    Vertices w, w' are twins when the transposition (w w') maps the family
+    onto itself, i.e. {S - w : w in S, w' not in S} equals
+    {S - w' : w' in S, w not in S}.  Twinship is an equivalence relation
+    (conjugating one transposition by another gives the third), so comparing
+    each vertex with one representative per class suffices.  Automorphisms
+    preserve refined colours, so only vertices of equal colour are compared.
+    """
+    residues: list[set[frozenset[int]]] = [set() for _ in range(n)]
+    for S in family:
+        for w in S:
+            residues[w].add(S - {w})
+    rep = list(range(n))
+    reps_by_colour: dict[int, list[int]] = {}
+    for w in range(n):
+        reps = reps_by_colour.setdefault(colours[w] if colours else 0, [])
+        for r in reps:
+            if (len(residues[r]) == len(residues[w])
+                    and {T for T in residues[r] if w not in T}
+                    == {T for T in residues[w] if r not in T}):
+                rep[w] = r
+                break
+        else:
+            reps.append(w)
+    return rep
+
+
 def set_family_isomorphisms(n_a: int, fams_a: list[frozenset[int]],
                             n_b: int, fams_b: list[frozenset[int]]) -> Iterator[tuple[int, ...]]:
     """Yield every bijection (as a tuple image) mapping fams_a onto fams_b.
@@ -118,11 +156,11 @@ def set_family_isomorphisms(n_a: int, fams_a: list[frozenset[int]],
     bwd: list[Optional[int]] = [None] * n_b
 
     def consistent(v: int, w: int) -> bool:
-        if col_a[v] != col_b[w]:
+        # A is assigned in order, so 0..v-1 are its assigned vertices: the
+        # assigned 2-set neighbours of v must map onto those of w
+        if ({fwd[u] for u in adj_a[v] if u < v}
+                != {x for x in adj_b[w] if bwd[x] is not None}):
             return False
-        for u in range(v):
-            if (fwd[u] in adj_b[w]) != (u in adj_a[v]):
-                return False
         for S in inc_a[v]:
             img = []
             for u in S:
@@ -146,22 +184,45 @@ def set_family_isomorphisms(n_a: int, fams_a: list[frozenset[int]],
     def verify(image: tuple[int, ...]) -> bool:
         return {frozenset(image[u] for u in S) for S in fam_a_set} == fam_b_set
 
+    # candidates for v are the B vertices of v's colour, in ascending order
+    by_colour: dict[int, list[int]] = {}
+    for w in range(n_b):
+        by_colour.setdefault(col_b[w], []).append(w)
+    twin_b: Optional[list[int]] = None
+    twinned: set[int] = set()  # least members of twin classes of size > 1
+
     def search(v: int) -> Iterator[tuple[int, ...]]:
+        nonlocal twin_b, twinned
         if v == n_a:
             image = tuple(fwd)  # type: ignore[arg-type]
             if verify(image):
                 yield image
             return
-        for w in range(n_b):
+        # twin classes of candidates whose subtree yielded nothing: a twin w'
+        # of such a w is unassigned too, so (w w') fixes the partial map and
+        # would carry any extension through w' to one through w
+        dead: set[int] = set()
+        for w in by_colour[col_a[v]]:
             if bwd[w] is not None:
+                continue
+            if dead and twin_b[w] in dead:  # type: ignore[index]
                 continue
             if not consistent(v, w):
                 continue
             fwd[v] = w
             bwd[w] = v
-            yield from search(v + 1)
+            found = False
+            for image in search(v + 1):
+                found = True
+                yield image
             fwd[v] = None
             bwd[w] = None
+            if not found:
+                if twin_b is None:
+                    twin_b = twin_classes(n_b, fam_b_set, col_b)
+                    twinned = {r for u, r in enumerate(twin_b) if r != u}
+                if twin_b[w] in twinned:
+                    dead.add(twin_b[w])
 
     yield from search(0)
 
@@ -261,6 +322,8 @@ def find_multigraph_isomorphism(
     edge_map: dict[str, str] = {}
     for (u, v), es in G.parallel_classes().items():
         target = H.edges_between(bij(G.labels[u]), bij(G.labels[v]))
-        assert len(target) == len(es)
+        if len(target) != len(es):
+            raise TheoremContradictionError(
+                f"parallel class sizes differ under the vertex map: {es} vs {target}")
         edge_map.update(zip(es, target))
     return bij, edge_map

@@ -18,10 +18,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .complexes import Multigraph, SimplicialComplex, immediate_faces
-from .errors import EnumerationBudgetError, MalformedInputError
+from .errors import (EnumerationBudgetError, MalformedInputError,
+                     TheoremContradictionError)
+from .isomorphism import twin_classes
 
 Source = Union[SimplicialComplex, Multigraph]
 
@@ -298,6 +301,7 @@ class MorseComplex:
         self._indices = tuple(cells[s][0] for s, _ in covers)
         self._compat: Optional[list[int]] = None
         self._nonfaces: Optional[list[frozenset[int]]] = None
+        self._quotient: Optional[list[int]] = None
         self._facets: Optional[tuple[tuple[int, ...], ...]] = None
         self._faces: Optional[tuple[tuple[int, ...], ...]] = None
 
@@ -391,19 +395,22 @@ class MorseComplex:
         the chordless matching circuits of the gradient digraph (the minimal
         gradient cycles, of any length)."""
         if self._nonfaces is None:
-            n = self.n_pairs
-            out = []
-            for i in range(n):
-                f = self._conflict[i] >> (i + 1)
-                j = i + 1
-                while f:
-                    if f & 1:
-                        out.append(frozenset((i, j)))
-                    f >>= 1
-                    j += 1
-            out.extend(self._chordless_circuits())
-            self._nonfaces = out
+            self._nonfaces = self._find_nonfaces()
         return self._nonfaces
+
+    def _find_nonfaces(self) -> list[frozenset[int]]:
+        n = self.n_pairs
+        out = []
+        for i in range(n):
+            f = self._conflict[i] >> (i + 1)
+            j = i + 1
+            while f:
+                if f & 1:
+                    out.append(frozenset((i, j)))
+                f >>= 1
+                j += 1
+        out.extend(self._chordless_circuits())
+        return out
 
     def _chordless_circuits(self) -> list[frozenset[int]]:
         n = self.n_pairs
@@ -440,6 +447,43 @@ class MorseComplex:
         the complex exactly; used by find_isomorphism without materialising
         the (possibly enormous) facet list."""
         return self.pair_ids, self.minimal_nonfaces()
+
+    # -- the quotient by non-adjacent pairs with equal links -------------------
+
+    def quotient_map(self) -> list[int]:
+        """Per pair index, the least index of its quotient class.
+
+        Two pairs are related when they are non-adjacent in M(K) and have
+        equal links, which holds iff the transposition swapping them maps the
+        minimal non-faces onto themselves.  So the classes are the twin
+        classes of the minimal non-faces whose members are pairwise
+        non-adjacent (within a twin class adjacency is uniform); every pair
+        of each class is re-checked in that non-face form.  Only this map is
+        cached, not non-faces computed for it.
+        """
+        if self._quotient is None:
+            nonfaces = self._nonfaces if self._nonfaces is not None else self._find_nonfaces()
+            twin = twin_classes(self.n_pairs, nonfaces)
+            nf_set = set(nonfaces)
+            rep = [r if frozenset((r, i)) in nf_set else i for i, r in enumerate(twin)]
+            members: dict[int, list[int]] = {}
+            for i, r in enumerate(rep):
+                members.setdefault(r, []).append(i)
+            containing: list[list[frozenset[int]]] = [[] for _ in range(self.n_pairs)]
+            for S in nonfaces:
+                for i in S:
+                    containing[i].append(S)
+            for cls in members.values():
+                for a, b in combinations(cls, 2):
+                    swap = {a: b, b: a}
+                    if frozenset((a, b)) not in nf_set or any(
+                            frozenset(swap.get(i, i) for i in S) not in nf_set
+                            for S in containing[a] + containing[b]):
+                        raise TheoremContradictionError(
+                            f"pairs {self.pairs[a]} and {self.pairs[b]} share a quotient "
+                            "class but are adjacent or have different links")
+            self._quotient = rep
+        return self._quotient
 
     # -- layered facet enumeration -------------------------------------------
 
@@ -674,7 +718,6 @@ class MorseComplex:
     def induced_subcomplex(self, pairs: Iterable[RegularPair]) -> SimplicialComplex:
         """Full subcomplex of M(K) spanned by the given pairs (desk scale:
         enumerates subsets)."""
-        from itertools import combinations
         idx = [self._pair_index[p] for p in pairs]
         names = [self.pair_ids[i] for i in idx]
         faces = [(n,) for n in names]

@@ -3,7 +3,8 @@
 Given a simplicial isomorphism F between Morse complexes, these operations
 produce an explicit isomorphism of the underlying objects: simple graphs via
 the source-vertex formula f(v) = source(F(v, e)), multigraphs via quotients
-and parallel-class counting, and general complexes by extending the graph
+(read off the minimal non-faces of the Morse complexes, never off their
+faces) and parallel-class counting, and general complexes by extending the graph
 case skeleton by skeleton.  Every step the theory guarantees is re-checked at
 run time; a failed check raises TheoremContradictionError rather than
 returning a wrong map.
@@ -16,6 +17,7 @@ that route.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple, Optional, Union
@@ -137,7 +139,9 @@ def parallel_by_definition(p: RegularPair, q: RegularPair, G: Multigraph) -> boo
 
 def parallel_pairs(p: RegularPair, q: RegularPair, M: MorseComplex) -> bool:
     """Parallelism read off the Morse complex alone: the pairs are
-    incompatible and have equal links in M(G).
+    incompatible and have equal links in M(G), i.e. they are distinct and
+    share a class of ``M.quotient_map()``, which is computed on the minimal
+    non-faces of M(G) (twin classes of non-adjacent pairs).
 
     Requires a connected multigraph with at least three vertices.
     """
@@ -149,21 +153,8 @@ def parallel_pairs(p: RegularPair, q: RegularPair, M: MorseComplex) -> bool:
             "parallel-pair characterization requires a connected multigraph "
             "with more than two vertices")
     i, j = M.index_of_pair(p), M.index_of_pair(q)
-    if M.is_simplex((p, q)):
-        return False
-    links = _pair_links(M)
-    return links[i] == links[j]
-
-
-def _pair_links(M: MorseComplex) -> list[frozenset]:
-    """Per pair, the link inside M(G): all faces extending it, minus the pair."""
-    links: list[set] = [set() for _ in range(M.n_pairs)]
-    for face in M.faces():
-        fs = frozenset(face)
-        for i in face:
-            links[i].add(fs - {i})
-    # a pair always extends the empty face, so links of isolated pairs agree
-    return [frozenset(l) for l in links]
+    classes = M.quotient_map()
+    return i != j and classes[i] == classes[j]
 
 
 @dataclass(frozen=True)
@@ -202,7 +193,10 @@ def quotient(K: SimplicialComplex) -> QuotientComplex:
     for cls in classes:
         ids = sorted(K.labels.index(lab) for lab in cls)
         for a, b in combinations(ids, 2):
-            assert (a, b) not in K.simplices and links[a] == links[b]
+            if (a, b) in K.simplices or links[a] != links[b]:
+                raise TheoremContradictionError(
+                    f"{K.labels[a]} and {K.labels[b]} share a quotient class but are "
+                    "adjacent or have different links")
     projection = {}
     for cls in classes:
         rep = cls[0]  # lexicographically least member
@@ -211,9 +205,18 @@ def quotient(K: SimplicialComplex) -> QuotientComplex:
     faces = []
     for s in K.simplices:
         image = {projection[lab] for lab in K.to_labels(s)}
-        assert len(image) == len(s), "related vertices can never share a simplex"
+        if len(image) != len(s):
+            raise TheoremContradictionError("related vertices share a simplex")
         faces.append(sorted(image))
     return QuotientComplex(tuple(classes), SimplicialComplex.closure(faces), projection)
+
+
+def _quotient_classes(M: MorseComplex) -> list[tuple[int, ...]]:
+    """Classes of ``M.quotient_map()`` as pair-index tuples, least first."""
+    groups: dict[int, list[int]] = {}
+    for i, r in enumerate(M.quotient_map()):
+        groups.setdefault(r, []).append(i)
+    return [tuple(g) for g in groups.values()]
 
 
 def induced_quotient_iso(f: Union["MorseIso", VertexBijection],
@@ -221,15 +224,16 @@ def induced_quotient_iso(f: Union["MorseIso", VertexBijection],
                          L: Optional[SimplicialComplex] = None) -> VertexBijection:
     """Push an isomorphism K -> L down to the quotients.
 
-    Accepts a MorseIso (acting on the underlying complexes of its Morse
-    complexes) or a plain vertex bijection with K and L supplied.  The
-    well-definedness of the induced map is checked, not assumed.
+    Accepts a MorseIso, whose quotient classes come from ``quotient_map()``
+    (computed on minimal non-faces) and are named by their least pair ids,
+    or a plain vertex bijection with explicit complexes K and L supplied.
+    The well-definedness of the induced map is checked, not assumed.
     """
     if isinstance(f, MorseIso):
-        K = f.M_K.as_complex()
-        L = f.M_L.as_complex()
-        f = f.as_pair_id_bijection()
-    assert K is not None and L is not None
+        return _induced_morse_quotient_iso(f)
+    if K is None or L is None:
+        raise HypothesisViolationError(
+            "induced_quotient_iso needs K and L for a plain vertex bijection")
     if not f.is_simplicial_isomorphism(K, L):
         raise InvalidIsomorphismError("map is not a simplicial isomorphism in both directions")
     QK = quotient(K)
@@ -245,6 +249,31 @@ def induced_quotient_iso(f: Union["MorseIso", VertexBijection],
     if not bij.is_simplicial_isomorphism(QK.quotient, QL.quotient):
         raise TheoremContradictionError("induced quotient map is not an isomorphism")
     return bij
+
+
+def _induced_morse_quotient_iso(F: MorseIso) -> VertexBijection:
+    """The MorseIso form of induced_quotient_iso.  F is validated and the
+    relation is intrinsic to a Morse complex, so a well-defined map that
+    carries classes bijectively onto classes of equal size is a quotient
+    isomorphism; those conditions are what is checked."""
+    M_K, M_L = F.M_K, F.M_L
+    rep_L = M_L.quotient_map()
+    size_L = Counter(rep_L)
+    forward = {}
+    for cls in _quotient_classes(M_K):
+        image_reps = {rep_L[M_L.index_of_pair(F(M_K.pairs[i]))] for i in cls}
+        if len(image_reps) != 1:
+            raise TheoremContradictionError(
+                "induced quotient map is not well-defined on class "
+                f"{tuple(M_K.pair_ids[i] for i in cls)}")
+        r = image_reps.pop()
+        if size_L[r] != len(cls):
+            raise TheoremContradictionError(
+                f"the class of {M_K.pair_ids[cls[0]]} maps onto a class of another size")
+        forward[M_K.pair_ids[cls[0]]] = M_L.pair_ids[r]
+    if len(set(forward.values())) != len(forward):
+        raise TheoremContradictionError("induced quotient map is not a bijection of classes")
+    return VertexBijection(forward)
 
 
 def simplify(G: Multigraph) -> tuple[SimplicialComplex, dict[str, tuple[str, str]]]:
@@ -294,7 +323,10 @@ def reconstruct_graph_iso(F: MorseIso) -> VertexBijection:
     forward = {}
     for v in G.labels:
         incident = sorted(by_source.get(v, ()), key=lambda p: p.target)
-        assert incident, "connected graph with >= 2 vertices has no isolated vertex"
+        if not incident:
+            raise TheoremContradictionError(
+                f"{v} has no pair, yet a connected graph with >= 2 vertices "
+                "has no isolated vertex")
         images = {F(p).source[0] for p in incident}
         if len(images) != 1:
             witness = {F(p).source[0]: p for p in incident}
@@ -338,7 +370,9 @@ def _restrict_to_graph_iso(F: MorseIso, budget: Optional[Budget]) -> tuple[Morse
     for p in F.M_K.pairs:
         if p.index == 0:
             q = F(p)
-            assert q.index == 0, "anomaly-free isomorphisms preserve index 0"
+            if q.index != 0:
+                raise TheoremContradictionError(
+                    f"anomaly-free isomorphism moves index-0 pair {p} to {q}")
             forward[p] = q
     try:
         F0 = MorseIso(M_K1, M_L1, forward)
@@ -371,7 +405,9 @@ def reconstruct_complex_iso(F: MorseIso, budget: Optional[Budget] = None) -> Ver
             raise TheoremContradictionError(
                 f"index anomaly {witness} outside boundaries of simplices")
         bij = VertexBijection(dict(zip(K.labels, L.labels)))
-        assert bij.is_simplicial_isomorphism(K, L)
+        if not bij.is_simplicial_isomorphism(K, L):
+            raise TheoremContradictionError(
+                "the label-order map between boundaries of simplices is not an isomorphism")
         return bij
 
     if K.n_vertices == 1:
@@ -397,7 +433,9 @@ def reconstruct_complex_iso(F: MorseIso, budget: Optional[Budget] = None) -> Ver
         if L.f_vector() != (3, 3, 1):
             raise TheoremContradictionError("image complex must also be the full triangle")
         bij = VertexBijection(dict(zip(K.labels, L.labels)))
-        assert bij.is_simplicial_isomorphism(K, L)
+        if not bij.is_simplicial_isomorphism(K, L):
+            raise TheoremContradictionError(
+                "the label-order map between full triangles is not an isomorphism")
         return bij
 
     f = reconstruct_graph_iso(F0)
@@ -421,9 +459,11 @@ def reconstruct_multigraph_iso(
     """Explicit multigraph isomorphism from an isomorphism of Morse complexes.
 
     Route: quotient both Morse complexes (classes are the parallel classes of
-    pairs), transport F to the simplifications, reconstruct the simple-graph
-    isomorphism there, then verify that all parallel-class sizes agree.  The
-    edge bijection is lexicographic within each class.
+    pairs, read off the minimal non-faces as twin classes of non-adjacent
+    pairs; no face of either Morse complex is materialised), transport F to
+    the simplifications, reconstruct the simple-graph isomorphism there,
+    then verify that all parallel-class sizes agree.  The edge bijection is
+    lexicographic within each class.
     """
     G, H = F.M_K.source, F.M_L.source
     if not isinstance(G, Multigraph) or not isinstance(H, Multigraph):
@@ -448,25 +488,24 @@ def reconstruct_multigraph_iso(
 
     # quotient of M(G) -> pairs of M(sG): the class of (v, e) is read off the
     # merged edge; well-definedness rides on the parallel-pair characterization
-    q_G = quotient(F.M_K.as_complex(budget))
-    q_H = quotient(F.M_L.as_complex(budget))
     f_tilde = induced_quotient_iso(F)
 
-    def class_to_simple_pair(M: MorseComplex, emap, q: QuotientComplex):
+    def class_to_simple_pair(M: MorseComplex, emap):
         out = {}
-        for cls in q.classes:
-            pairs = [M.pair_of_id(pid) for pid in cls]
+        for cls in _quotient_classes(M):
+            pairs = [M.pairs[i] for i in cls]
             simple = {RegularPair(p.source, emap[p.target[0]], 0) for p in pairs}
             if len(simple) != 1:
                 raise TheoremContradictionError(
-                    f"quotient class {cls} does not correspond to one simplified pair")
-            out[q.projection[cls[0]]] = simple.pop()
+                    f"quotient class {tuple(M.pair_ids[i] for i in cls)} does not "
+                    "correspond to one simplified pair")
+            out[M.pair_ids[cls[0]]] = simple.pop()
         if len(set(out.values())) != len(out):
             raise TheoremContradictionError("quotient classes and simplified pairs do not biject")
         return out
 
-    rep_to_sG = class_to_simple_pair(F.M_K, emap_G, q_G)
-    rep_to_sH = class_to_simple_pair(F.M_L, emap_H, q_H)
+    rep_to_sG = class_to_simple_pair(F.M_K, emap_G)
+    rep_to_sH = class_to_simple_pair(F.M_L, emap_H)
     forward = {}
     for rep, p in rep_to_sG.items():
         forward[p] = rep_to_sH[f_tilde(rep)]

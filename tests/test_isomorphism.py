@@ -109,3 +109,54 @@ def test_contractible_morse_complexes_still_distinguished():
     assert greedy_collapse(MGp.as_complex()) is not None
     assert find_isomorphism(MG, MGp) is None
     assert find_isomorphism(G, Gp) is None
+
+
+# -- twin pruning -------------------------------------------------------------
+
+def _symmetric_morse_families():
+    """Minimal non-face families of Morse complexes with twins, <= 8 pairs."""
+    from morsecomplex import morse_complex
+    bundles = [
+        Multigraph.from_edges([(f"e{i}", "u", "v") for i in range(k)]) for k in (2, 3)]
+    theta = Multigraph.from_edges(
+        [("e1", "u", "v"), ("e2", "u", "v"), ("e3", "u", "v"), ("e4", "v", "w")])
+    cherry = Multigraph.from_edges([("e1", "u", "v"), ("e2", "u", "v"), ("e3", "v", "w")])
+    out = []
+    for G in bundles + [theta, cherry, star_graph(3)]:
+        M = morse_complex(G)
+        out.append((M.n_pairs, M.minimal_nonfaces()))
+    return out
+
+
+def test_twin_classes_match_the_definition():
+    from itertools import combinations
+    from morsecomplex.isomorphism import twin_classes
+    n_twinned = 0
+    for n, fam in _symmetric_morse_families():
+        fam_set = set(fam)
+        rep = twin_classes(n, fam)
+        for a, b in combinations(range(n), 2):
+            swap = {a: b, b: a}
+            is_twin = {frozenset(swap.get(i, i) for i in S) for S in fam} == fam_set
+            assert (rep[a] == rep[b]) == is_twin
+        assert all(rep[w] <= w for w in range(n))
+        n_twinned += sum(rep[w] != w for w in range(n))
+    assert n_twinned
+
+
+def test_set_family_isomorphisms_equal_brute_force_in_order():
+    # the twin-pruned search yields exactly the filtered permutations, in
+    # lexicographic order, also towards a relabelled copy
+    from itertools import permutations
+    from morsecomplex.isomorphism import set_family_isomorphisms
+    rng = random.Random(4)
+    for n, fam in _symmetric_morse_families():
+        perm = list(range(n))
+        rng.shuffle(perm)
+        for target in (fam, [frozenset(perm[i] for i in S) for S in fam]):
+            target_set = set(target)
+            # a bijection maps the family into an equal-sized family only onto it
+            brute = [img for img in permutations(range(n))
+                     if all(frozenset(img[i] for i in S) in target_set for S in fam)]
+            assert list(set_family_isomorphisms(n, fam, n, target)) == brute
+            assert brute

@@ -339,6 +339,10 @@ def test_reconstruct_theta_graph():
         [("f1", "b", "c"), ("f2", "a", "b"), ("f3", "a", "b"), ("f4", "a", "b")])
     F = find_morse_isomorphism(morse_complex(G), morse_complex(H))
     assert F is not None
+    # the quotient map read off non-faces agrees with the explicit route
+    explicit = induced_quotient_iso(F.as_pair_id_bijection(),
+                                    F.M_K.as_complex(), F.M_L.as_complex())
+    assert induced_quotient_iso(F) == explicit
     f, emap = reconstruct_multigraph_iso(F)
     for x in G.labels:
         for y in G.labels:
@@ -432,3 +436,49 @@ def test_reconstruct_random_five_vertex_multigraphs():
                 if u < v:
                     assert G.multiplicity(u, v) == H.multiplicity(f(u), f(v))
         assert sorted(emap) == sorted(G.edge_ids)
+
+
+def test_morse_quotient_on_nonfaces_matches_explicit_quotient():
+    # quotient() on the materialised Morse complex is the independent oracle
+    from morsecomplex.corpus import connected_multigraphs
+    for X in list(connected_multigraphs(4, 3)) + list(connected_complexes(4)):
+        M = morse_complex(X)
+        groups = {}
+        for i, r in enumerate(M.quotient_map()):
+            groups.setdefault(r, []).append(M.pair_ids[i])
+        expected = quotient(M.as_complex()).classes
+        assert tuple(sorted(tuple(g) for g in groups.values())) == expected
+
+
+def test_reconstruct_most_symmetric_relabelled_multigraphs():
+    # the members with the most edges have the largest parallel classes, whose
+    # interchangeable pairs made the unpruned search take seconds per member
+    from morsecomplex.corpus import connected_multigraphs
+    rng = random.Random(31)
+    corpus = sorted(connected_multigraphs(4, 3), key=lambda G: -G.n_edges)[:10]
+    for G in corpus:
+        labs = list(G.labels)
+        image = labs[:]
+        rng.shuffle(image)
+        vmap = dict(zip(labs, image))
+        triples = [(f"f{e}", vmap[G.labels[u]], vmap[G.labels[v]])
+                   for e, (u, v) in zip(G.edge_ids, G.boundary)]
+        rng.shuffle(triples)
+        H = Multigraph.from_edges(triples)
+        F = find_morse_isomorphism(morse_complex(G), morse_complex(H))
+        assert F is not None
+        f, emap = reconstruct_multigraph_iso(F)
+        for u, v in combinations(G.labels, 2):
+            assert G.multiplicity(u, v) == H.multiplicity(f(u), f(v))
+        for e, g in emap.items():
+            assert {f(x) for x in G.endpoints(e)} == set(H.endpoints(g))
+
+
+def test_theorem_checks_are_not_asserts():
+    # python -O strips assert statements; theorem checks must raise instead
+    import ast
+    import inspect
+    from morsecomplex import isomorphism, reconstruction
+    for module in (isomorphism, reconstruction):
+        tree = ast.parse(inspect.getsource(module))
+        assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
