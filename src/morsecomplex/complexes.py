@@ -74,12 +74,6 @@ class SimplicialComplex:
                 simplices.update(combinations(ids, r))
         return cls(labels, frozenset(simplices))
 
-    @classmethod
-    def from_facets(cls, labels: Iterable[str], facets: Iterable[tuple[str, ...]]) -> "SimplicialComplex":
-        """Closure of the given facets; isolated labels enter as vertices."""
-        extra = [(lab,) for lab in labels]
-        return cls.closure(list(facets) + extra)
-
     # -- basic queries ---------------------------------------------------
 
     @property
@@ -188,9 +182,6 @@ class SimplicialComplex:
         """True iff the 1-skeleton has exactly one component; empty complex is not connected."""
         return self.components() == 1
 
-    def is_graph(self) -> bool:
-        return self.dim <= 1
-
     def cycle_length(self) -> Optional[int]:
         """n if the complex is the simple cycle on n >= 3 vertices, else None."""
         if self.dim != 1 or not self.is_connected():
@@ -218,9 +209,6 @@ class SimplicialComplex:
     def __repr__(self):
         facets = [",".join(f) for f in self.label_facets()]
         return f"SimplicialComplex<{' '.join(facets) or 'empty'}>"
-
-
-EMPTY_COMPLEX = SimplicialComplex((), frozenset())
 
 
 class Multigraph:

@@ -200,12 +200,7 @@ def connected_multigraphs(max_vertices: int = 4, max_multiplicity: int = 3) -> t
         if n == 1:
             out.append(Multigraph.from_edges([], isolated=["v0"]))
             continue
-        support_seen = set()
         for edges in _connected_edge_sets(n):
-            support = tuple(sorted(edges))
-            if support in support_seen:
-                continue
-            support_seen.add(support)
             for mults in product(range(1, max_multiplicity + 1), repeat=len(edges)):
                 matrix = {}
                 for (u, v), m in zip(edges, mults):

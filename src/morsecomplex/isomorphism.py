@@ -36,18 +36,19 @@ def _iso_structure(obj) -> tuple[tuple[str, ...], list[frozenset[int]]]:
     raise TypeError(f"cannot search isomorphisms of {type(obj).__name__}")
 
 
-def _refine(n_a: int, fams_a: list[frozenset[int]],
-            n_b: int, fams_b: list[frozenset[int]]) -> Optional[tuple[list[int], list[int]]]:
-    """Joint iterated refinement; None if the colour histograms ever disagree."""
-    inc_a = [[] for _ in range(n_a)]
-    inc_b = [[] for _ in range(n_b)]
-    for S in fams_a:
+def _incidence(n: int, family: Iterable[frozenset[int]]) -> list[list[frozenset[int]]]:
+    """Per vertex, the sets of the family containing it."""
+    inc: list[list[frozenset[int]]] = [[] for _ in range(n)]
+    for S in family:
         for v in S:
-            inc_a[v].append(S)
-    for S in fams_b:
-        for v in S:
-            inc_b[v].append(S)
+            inc[v].append(S)
+    return inc
 
+
+def _refine(n_a: int, inc_a: list[list[frozenset[int]]],
+            n_b: int, inc_b: list[list[frozenset[int]]]) -> Optional[tuple[list[int], list[int]]]:
+    """Joint iterated refinement on incidence lists; None if the colour
+    histograms ever disagree."""
     col_a = [0] * n_a
     col_b = [0] * n_b
     n_classes = 1
@@ -122,23 +123,17 @@ def set_family_isomorphisms(n_a: int, fams_a: list[frozenset[int]],
         if fams_a == fams_b == []:
             yield ()
         return
-    refined = _refine(n_a, fams_a, n_b, fams_b)
-    if refined is None:
-        return
-    col_a, col_b = refined
-
     fam_a_set = set(fams_a)
     fam_b_set = set(fams_b)
     if len(fam_a_set) != len(fam_b_set):
         return
-    inc_a = [[] for _ in range(n_a)]
-    inc_b = [[] for _ in range(n_b)]
-    for S in fam_a_set:
-        for v in S:
-            inc_a[v].append(S)
-    for S in fam_b_set:
-        for v in S:
-            inc_b[v].append(S)
+    inc_a = _incidence(n_a, fam_a_set)
+    inc_b = _incidence(n_b, fam_b_set)
+    refined = _refine(n_a, inc_a, n_b, inc_b)
+    if refined is None:
+        return
+    col_a, col_b = refined
+
     adj_a = [set() for _ in range(n_a)]
     adj_b = [set() for _ in range(n_b)]
     for S in fam_a_set:

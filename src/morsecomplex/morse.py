@@ -3,15 +3,20 @@
 A regular pair is a cover relation (source, target) of the face poset; a set
 of pairs is a simplex of the Morse complex M(K) exactly when it is a matching
 (no cell used twice) whose per-index gradient digraph is acyclic.  M(K) is
-kept implicit: the pair table and cover-level conflict/arc masks are built
-eagerly (quadratic in the number of covers), while facets, the full face
-list, and the minimal non-faces are produced on demand.
+kept implicit: ``MorseComplex`` builds three cover-level bitmask tables
+eagerly (quadratic in the number of covers) and decides everything on them:
+``_conflict`` (pairs sharing a cell), ``_arc`` (gradient arcs) and ``_rev``
+(their reverse), with ``_creates_cycle`` as the one reachability routine.
+The 1-skeleton, the minimal non-faces, the face list and the facets are all
+read off these tables on demand.
 
-Facet enumeration is layered: acyclicity never mixes indices and layers
-interact only through one interface (a cell cannot be a target below and a
-source above), so per-layer matchings are enumerated once and a memoised
-count over interface states prices the output before anything is listed.
-The count is exact, which lets the facet budget fail fast and loudly.
+Facet enumeration is layered: covers are sorted by index, gradient arcs
+never leave an index, and layers interact only through one interface (a
+cell cannot be a target below and a source above).  So each layer's
+matchings are enumerated once, on the global masks restricted to its block
+of covers, and a memoised count over interface states prices the output
+before anything is listed.  The count is exact, which lets the facet budget
+fail fast and loudly.
 """
 
 from __future__ import annotations
@@ -278,10 +283,9 @@ class MorseComplex:
         src_of = [c[0] for c in covers]
         tgt_of = [c[1] for c in covers]
         by_source: dict[int, list[int]] = {}
-        for i in range(n):
-            by_source.setdefault(src_of[i], []).append(i)
         by_cell: dict[int, list[int]] = {}
         for i in range(n):
+            by_source.setdefault(src_of[i], []).append(i)
             by_cell.setdefault(src_of[i], []).append(i)
             by_cell.setdefault(tgt_of[i], []).append(i)
         for members in by_cell.values():
@@ -373,15 +377,11 @@ class MorseComplex:
     def compatibility_adjacency(self) -> list[int]:
         """Per pair, bitmask of pairs compatible with it (edges of M(K))."""
         if self._compat is None:
-            n = self.n_pairs
-            adj = [0] * n
-            for i in range(n):
-                for j in range(i + 1, n):
-                    m = (1 << i) | (1 << j)
-                    if not (self._conflict[i] >> j) & 1 and self._is_simplex_mask(m):
-                        adj[i] |= 1 << j
-                        adj[j] |= 1 << i
-            self._compat = adj
+            # {p, q} is a simplex unless the pairs share a cell or form a
+            # 2-cycle p -> q -> p (only multigraphs have those)
+            full = (1 << self.n_pairs) - 1
+            self._compat = [full & ~(1 << p) & ~self._conflict[p] & ~(arc & self._rev[p])
+                            for p, arc in enumerate(self._arc)]
         return self._compat
 
     def pair_degree(self, pair: RegularPair) -> int:
@@ -415,15 +415,16 @@ class MorseComplex:
     def _chordless_circuits(self) -> list[frozenset[int]]:
         n = self.n_pairs
         arc, rev, conflict = self._arc, self._rev, self._conflict
+        deadline = self.budget.deadline()
         out = []
-        guard = 0
+        steps = 0
         for s in range(n):
             stack = [((s,), 1 << s)]
             while stack:
                 path, mask = stack.pop()
-                guard += 1
-                if guard > 5_000_000:
-                    raise EnumerationBudgetError("gradient-circuit enumeration exploded")
+                steps += 1
+                if steps % 4096 == 0:
+                    _check_deadline(deadline, "enumerating gradient circuits")
                 u = path[-1]
                 if len(path) >= 2 and (arc[u] >> s) & 1:
                     out.append(frozenset(path))
@@ -487,65 +488,43 @@ class MorseComplex:
 
     # -- layered facet enumeration -------------------------------------------
 
-    def _layers(self):
-        """Per index: local cover lists, masks, matchings and addable pairs.
+    def _layers(self) -> tuple[dict[int, range], list[int], list[int]]:
+        """Per index its block of cover ids, plus per cover the bits of its
+        source and target cell.
 
-        Cell positions are global per dimension so that interface masks of
-        adjacent layers line up.
+        Covers are sorted by index, so each layer is a contiguous block, and
+        gradient arcs never leave their layer.  Cell bits are positions
+        within the cell's dimension, so that the target bits of one layer
+        line up with the source bits of the next.
         """
-        covers = self.hasse.covers
         cells = self.hasse.cells
-        dims = sorted({d for d, _ in cells})
-        cell_pos: dict[int, int] = {}
-        per_dim_count: dict[int, int] = {d: 0 for d in dims}
-        for ci, (d, _) in enumerate(cells):
-            cell_pos[ci] = per_dim_count[d]
-            per_dim_count[d] += 1
-        layers = {}
-        for gi, (s, t) in enumerate(covers):
-            layers.setdefault(self._indices[gi], []).append((gi, s, t))
-        return layers, cell_pos
+        per_dim_count: dict[int, int] = {}
+        cell_bit = []
+        for d, _ in cells:
+            pos = per_dim_count.get(d, 0)
+            cell_bit.append(1 << pos)
+            per_dim_count[d] = pos + 1
+        blocks: dict[int, range] = {}
+        for gi, k in enumerate(self._indices):
+            lo = blocks[k].start if k in blocks else gi
+            blocks[k] = range(lo, gi + 1)
+        covers = self.hasse.covers
+        return (blocks, [cell_bit[s] for s, _ in covers],
+                [cell_bit[t] for _, t in covers])
 
-    def _layer_matchings(self, members, cell_pos, deadline, cap):
-        """All acyclic matchings of a single layer.
+    def _layer_matchings(self, block: range, sbit: list[int], tbit: list[int],
+                         deadline: float, cap: int):
+        """All acyclic matchings of a single layer, on the global pair masks.
 
-        Returns (matchings, addables): matching = (global cover ids, local
-        mask, src mask, tgt mask); addable[i] = local covers extending
-        matching i, with their source/target position bits.  ``cap`` bounds
-        the enumeration as a memory guard.
+        Returns (matchings, addables): matching = (cover ids, pair mask, src
+        mask, tgt mask); addable[i] = (src bit, tgt bit) of each cover of the
+        layer extending matching i.  ``cap`` bounds the enumeration as a
+        memory guard.
         """
-        m = len(members)
-        conflict = [0] * m
-        arc = [0] * m
-        for a in range(m):
-            ga, sa, ta = members[a]
-            for b in range(m):
-                gb, sb, tb = members[b]
-                if a != b and (self._conflict[ga] >> gb) & 1:
-                    conflict[a] |= 1 << b
-                if a != b and (self._arc[ga] >> gb) & 1:
-                    arc[a] |= 1 << b
-
-        def cyc(c, mask):
-            tbit = 1 << c
-            frontier = arc[c] & mask
-            seen = 0
-            full = mask | tbit
-            while frontier:
-                if frontier & tbit:
-                    return True
-                seen |= frontier
-                nxt = 0
-                f = frontier
-                while f:
-                    b = f & -f
-                    f ^= b
-                    nxt |= arc[b.bit_length() - 1]
-                frontier = nxt & full & ~seen
-            return False
-
+        conflict = self._conflict
+        creates_cycle = self._creates_cycle
         matchings = []
-        stack = [((), 0, 0, 0, (1 << m) - 1)]
+        stack = [((), 0, 0, 0, (1 << block.stop) - (1 << block.start))]
         steps = 0
         while stack:
             ids, mask, sm, tm, cand = stack.pop()
@@ -561,21 +540,14 @@ class MorseComplex:
                 b = f & -f
                 f ^= b
                 c = b.bit_length() - 1
-                if cyc(c, mask):
+                if creates_cycle(c, mask):
                     continue
-                gc, sc, tc = members[c]
-                stack.append((ids + (gc,), mask | b,
-                              sm | (1 << cell_pos[sc]), tm | (1 << cell_pos[tc]),
+                stack.append((ids + (c,), mask | b, sm | sbit[c], tm | tbit[c],
                               f & ~conflict[c]))
-        addables = []
-        for ids, mask, sm, tm in matchings:
-            add = []
-            for c in range(m):
-                if (mask >> c) & 1 or conflict[c] & mask or cyc(c, mask):
-                    continue
-                gc, sc, tc = members[c]
-                add.append((1 << cell_pos[sc], 1 << cell_pos[tc]))
-            addables.append(tuple(add))
+        addables = [tuple((sbit[c], tbit[c]) for c in block
+                          if not ((mask >> c) & 1 or conflict[c] & mask
+                                  or creates_cycle(c, mask)))
+                    for _, mask, _, _ in matchings]
         return matchings, addables
 
     def _facet_engine(self, budget: Budget):
@@ -585,14 +557,14 @@ class MorseComplex:
         when count exceeds the facet budget.
         """
         deadline = budget.deadline()
-        layers, cell_pos = self._layers()
-        ks = sorted(layers)
+        blocks, sbit, tbit = self._layers()
+        ks = sorted(blocks)
         cap = max(10 * budget.max_facets, 10 ** 6)
-        per_layer = {k: self._layer_matchings(layers[k], cell_pos, deadline, cap)
+        per_layer = {k: self._layer_matchings(blocks[k], sbit, tbit, deadline, cap)
                      for k in ks}
         last = ks[-1]
 
-        def pending(addable, blocked, sm):
+        def pending(addable, blocked):
             need = 0
             for sbit, tbit in addable:
                 if not (sbit & blocked):
@@ -613,7 +585,7 @@ class MorseComplex:
             for (ids, mask, sm, tm), add in zip(matchings, addables):
                 if sm & blocked or need & ~sm:
                     continue
-                pend = pending(add, blocked | sm, sm)
+                pend = pending(add, blocked | sm)
                 if k == last:
                     if pend == 0:
                         total += 1
@@ -634,7 +606,7 @@ class MorseComplex:
                 for (ids, mask, sm, tm), add in zip(matchings, addables):
                     if sm & blocked or need & ~sm:
                         continue
-                    pend = pending(add, blocked | sm, sm)
+                    pend = pending(add, blocked | sm)
                     if k == last:
                         if pend == 0:
                             yield prefix + ids
@@ -665,7 +637,9 @@ class MorseComplex:
                 raise EnumerationBudgetError(
                     f"Morse complex has {total} facets, over the budget of {budget.max_facets}")
             facets = sorted(lister())
-            assert len(facets) == total
+            if len(facets) != total:
+                raise TheoremContradictionError(
+                    f"facet lister produced {len(facets)} facets but the count is {total}")
             self._facets = tuple(facets)
         return self._facets
 
@@ -706,7 +680,9 @@ class MorseComplex:
         face list is materialised, so this is budget-guarded.
         """
         names = labels if labels is not None else self.pair_ids
-        assert len(names) == self.n_pairs and len(set(names)) == self.n_pairs
+        if len(names) != self.n_pairs or len(set(names)) != self.n_pairs:
+            raise MalformedInputError(
+                f"need {self.n_pairs} distinct pair labels, got {len(names)}")
         if self.n_pairs == 0:
             return SimplicialComplex((), frozenset())
         order = tuple(sorted(names))

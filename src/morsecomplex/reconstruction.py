@@ -26,7 +26,7 @@ from .complexes import (Multigraph, SimplicialComplex, VertexBijection,
                         is_boundary_simplex)
 from .errors import (HypothesisViolationError, InvalidIsomorphismError,
                      TheoremContradictionError)
-from .isomorphism import find_isomorphism, set_family_isomorphisms
+from .isomorphism import find_isomorphism, find_multigraph_isomorphism
 from .morse import Budget, MorseComplex, RegularPair, morse_complex
 
 
@@ -518,7 +518,13 @@ def reconstruct_multigraph_iso(
     if sG.cycle_length() is not None:
         if reconstruct_cycle(sG, sH) is None:
             raise TheoremContradictionError("simplified cycle must map to an equal cycle")
-        f = _cycle_multigraph_vertex_map(G, H, sG, sH)
+        # the pointwise formula is unavailable on a cycle: take the least
+        # vertex map keeping every parallel-class size
+        found = find_multigraph_isomorphism(G, H)
+        if found is None:
+            raise TheoremContradictionError(
+                "no cycle isomorphism preserves the parallel-class sizes")
+        f = found[0]
     else:
         f = reconstruct_graph_iso(F_bar)
 
@@ -535,18 +541,3 @@ def reconstruct_multigraph_iso(
                 edge_map.update(zip(mine, theirs))
     return f, edge_map
 
-
-def _cycle_multigraph_vertex_map(G: Multigraph, H: Multigraph,
-                                 sG: SimplicialComplex, sH: SimplicialComplex) -> VertexBijection:
-    """When the simplification is a cycle the pointwise formula is unavailable;
-    search the (dihedrally many) cycle isomorphisms for one matching all
-    parallel-class sizes."""
-    fams_G = [frozenset(e) for e in sG.facets() if len(e) == 2]
-    fams_H = [frozenset(e) for e in sH.facets() if len(e) == 2]
-    for image in set_family_isomorphisms(sG.n_vertices, fams_G, sH.n_vertices, fams_H):
-        bij = VertexBijection({sG.labels[v]: sH.labels[w] for v, w in enumerate(image)})
-        if all(G.multiplicity(u, v) == H.multiplicity(bij(u), bij(v))
-               for u in G.labels for v in G.labels if u < v):
-            return bij
-    raise TheoremContradictionError(
-        "no cycle isomorphism preserves the parallel-class sizes")

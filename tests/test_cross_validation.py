@@ -8,8 +8,8 @@ larger than the power-set oracle can reach.
 
 from itertools import combinations
 
-from morsecomplex import (Budget, Multigraph, is_acyclic, is_matching,
-                          morse_complex)
+from morsecomplex import (Budget, Multigraph, compatible, is_acyclic,
+                          is_matching, morse_complex)
 from morsecomplex.corpus import (connected_complexes, connected_graphs,
                                  connected_multigraphs, full_simplex)
 
@@ -130,6 +130,20 @@ def test_faces_match_standalone_predicates():
                 expected = is_matching(combo) and is_acyclic(combo)
                 got = frozenset(M.index_of_pair(p) for p in combo) in faces
                 assert got == expected
+
+
+def test_compatibility_adjacency_matches_standalone_predicate():
+    # the mask formula against compatible(); the multigraphs carry 2-cycles
+    sources = [(K, None) for K in connected_complexes(4)]
+    sources += [(G, G) for G in connected_multigraphs(4, 3)]
+    for obj, G in sources:
+        M = morse_complex(obj, BIG)
+        adj = M.compatibility_adjacency()
+        for i, j in combinations(range(M.n_pairs), 2):
+            expected = compatible(M.pairs[i], M.pairs[j], G)
+            assert bool((adj[i] >> j) & 1) == expected
+            assert bool((adj[j] >> i) & 1) == expected
+        assert not any((adj[i] >> i) & 1 for i in range(M.n_pairs))
 
 
 def test_dimension_matches_max_facet():

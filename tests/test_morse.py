@@ -8,9 +8,10 @@ from morsecomplex import (Budget, Multigraph, RegularPair, adjacent_cycles,
                           compatible, critical_cells, gradient_cycles, hasse,
                           is_acyclic, is_matching, minimal_gradient_cycles,
                           morse_complex, primitive_pairs)
-from morsecomplex.corpus import (boundary_simplex, connected_complexes,
-                                 connected_graphs, connected_multigraphs,
-                                 cycle_graph, full_simplex, path_graph)
+from morsecomplex.corpus import (boundary_simplex, complete_graph,
+                                 connected_complexes, connected_graphs,
+                                 connected_multigraphs, cycle_graph,
+                                 full_simplex, path_graph)
 from morsecomplex.errors import EnumerationBudgetError, MalformedInputError
 from morsecomplex.verify import brute_force_morse_facets
 
@@ -223,6 +224,14 @@ def test_time_budget_error():
     M = morse_complex(K, Budget(max_facets=10**9, max_seconds=0.0))
     with pytest.raises(EnumerationBudgetError):
         M.facets()
+
+
+def test_circuit_search_time_budget_error():
+    # K7's chordless-circuit search takes more than 4096 steps, so it reaches
+    # a deadline check and must stop on the expired budget
+    M = morse_complex(complete_graph(7), Budget(max_seconds=0.0))
+    with pytest.raises(EnumerationBudgetError):
+        M.minimal_nonfaces()
 
 
 def test_critical_cells():

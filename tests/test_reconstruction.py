@@ -478,7 +478,7 @@ def test_theorem_checks_are_not_asserts():
     # python -O strips assert statements; theorem checks must raise instead
     import ast
     import inspect
-    from morsecomplex import isomorphism, reconstruction
-    for module in (isomorphism, reconstruction):
+    from morsecomplex import isomorphism, morse, reconstruction
+    for module in (isomorphism, morse, reconstruction):
         tree = ast.parse(inspect.getsource(module))
         assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
