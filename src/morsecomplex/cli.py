@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 negative verdict (no isomorphism / failed check),
 2 enumeration budget exceeded, 3 theorem hypothesis violated, 4 bad input,
-5 internal contradiction.  Output is deterministic for fixed inputs, flags
-and seed.
+5 internal contradiction or any other error (RecursionError, MemoryError,
+...), reported as one stderr line.  Output is deterministic for fixed
+inputs, flags and seed.
 """
 
 from __future__ import annotations
@@ -250,6 +251,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except (TheoremContradictionError, InvalidIsomorphismError) as e:
         print(f"internal contradiction: {e}", file=sys.stderr)
+        return EXIT_CONTRADICTION
+    except Exception as e:  # exit 1 means a negative verdict, never a crash
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_CONTRADICTION
 
 

@@ -6,17 +6,20 @@ of pairs is a simplex of the Morse complex M(K) exactly when it is a matching
 kept implicit: ``MorseComplex`` builds three cover-level bitmask tables
 eagerly (quadratic in the number of covers) and decides everything on them:
 ``_conflict`` (pairs sharing a cell), ``_arc`` (gradient arcs) and ``_rev``
-(their reverse), with ``_creates_cycle`` as the one reachability routine.
-The 1-skeleton, the minimal non-faces, the face list and the facets are all
+(their reverse), with ``_reach`` as the one reachability routine.  The
+1-skeleton, the minimal non-faces, the face list and the facets are all
 read off these tables on demand.
 
 Facet enumeration is layered: covers are sorted by index, gradient arcs
 never leave an index, and layers interact only through one interface (a
 cell cannot be a target below and a source above).  So each layer's
 matchings are enumerated once, on the global masks restricted to its block
-of covers, and a memoised count over interface states prices the output
-before anything is listed.  The count is exact, which lets the facet budget
-fail fast and loudly.
+of covers, each with its extendable set (the covers that extend it inside
+the layer), which the search carries from parent to child instead of
+testing every cover again.  A memoised count over interface states prices
+the output before anything is listed; a state depends on a matching only
+through its source mask, so each layer's matchings are grouped by it.  The
+count is exact, which lets the facet budget fail fast and loudly.
 """
 
 from __future__ import annotations
@@ -192,18 +195,26 @@ def is_acyclic(pairs: Iterable[RegularPair], G: Optional[Multigraph] = None) -> 
         raise MalformedInputError("pair set is not a matching")
     arcs = _pair_arcs(pairs, G)
     color = [0] * len(pairs)  # 0 new, 1 active, 2 done
-
-    def dfs(i: int) -> bool:
-        color[i] = 1
-        for j in arcs[i]:
-            if color[j] == 1:
-                return False
-            if color[j] == 0 and not dfs(j):
-                return False
-        color[i] = 2
-        return True
-
-    return all(color[i] or dfs(i) for i in range(len(pairs)))
+    for root in range(len(pairs)):
+        if color[root]:
+            continue
+        # depth-first with an explicit stack: gradient chains are as long as
+        # the input, far beyond the interpreter's recursion limit
+        color[root] = 1
+        stack = [(root, iter(arcs[root]))]
+        while stack:
+            i, succ = stack[-1]
+            for j in succ:
+                if color[j] == 1:
+                    return False
+                if color[j] == 0:
+                    color[j] = 1
+                    stack.append((j, iter(arcs[j])))
+                    break
+            else:
+                color[i] = 2
+                stack.pop()
+    return True
 
 
 def compatible(p: RegularPair, q: RegularPair, G: Optional[Multigraph] = None) -> bool:
@@ -329,26 +340,31 @@ class MorseComplex:
 
     # -- membership --------------------------------------------------------
 
-    def _creates_cycle(self, c: int, mask: int) -> bool:
-        target = 1 << c
-        frontier = self._arc[c] & mask
-        if not frontier or not (self._rev[c] & mask):
-            return False
-        seen = 0
-        arc = self._arc
-        full = mask | target
+    @staticmethod
+    def _reach(frontier: int, within: int, adj: list[int], stop: int = 0) -> int:
+        """Every pair one step along ``adj`` from the closure of ``frontier``
+        inside ``within`` (the closure steps only onto pairs of ``within``;
+        the returned successors may lie outside it).  Stops as soon as the
+        successors meet ``stop``."""
+        seen = out = 0
         while frontier:
-            if frontier & target:
-                return True
             seen |= frontier
-            nxt = 0
             f = frontier
             while f:
                 b = f & -f
                 f ^= b
-                nxt |= arc[b.bit_length() - 1]
-            frontier = nxt & full & ~seen
-        return False
+                out |= adj[b.bit_length() - 1]
+            if out & stop:
+                break
+            frontier = out & within & ~seen
+        return out
+
+    def _creates_cycle(self, c: int, mask: int) -> bool:
+        target = 1 << c
+        start = self._arc[c] & mask
+        if not start or not (self._rev[c] & mask):
+            return False
+        return bool(self._reach(start, mask, self._arc, target) & target)
 
     def _is_simplex_mask(self, mask: int) -> bool:
         rest = mask
@@ -513,45 +529,71 @@ class MorseComplex:
                 [cell_bit[t] for _, t in covers])
 
     def _layer_matchings(self, block: range, sbit: list[int], tbit: list[int],
-                         deadline: float, cap: int):
-        """All acyclic matchings of a single layer, on the global pair masks.
+                         deadline: float, cap: int
+                         ) -> dict[int, list[tuple[tuple[int, ...], int, int]]]:
+        """All acyclic matchings of a single layer, on the global pair masks,
+        grouped by source cell mask.
 
-        Returns (matchings, addables): matching = (cover ids, pair mask, src
-        mask, tgt mask); addable[i] = (src bit, tgt bit) of each cover of the
-        layer extending matching i.  ``cap`` bounds the enumeration as a
+        Returns {src mask: [(cover ids, tgt mask, avail), ...]}, where avail
+        is the extendable set of the matching: the covers of the block that
+        are not in it, share no cell with it and close no gradient cycle
+        with it.  Each DFS node carries its avail.  Acyclic matchings form a
+        simplicial complex, so a child's avail is the parent's less c, the
+        covers conflicting with c, and the covers d that close a cycle with
+        the child; that cycle runs through c (the parent is acyclic with d),
+        so d is exactly a successor of c's forward closure and of its
+        backward closure inside the parent.  The child's DFS candidates are
+        its avail among the parent's remaining higher candidates, which
+        keeps the enumeration order.  ``cap`` bounds the enumeration as a
         memory guard.
         """
-        conflict = self._conflict
-        creates_cycle = self._creates_cycle
-        matchings = []
-        stack = [((), 0, 0, 0, (1 << block.stop) - (1 << block.start))]
+        conflict, arc, rev = self._conflict, self._arc, self._rev
+        reach = self._reach
+        groups: dict[int, list[tuple[tuple[int, ...], int, int]]] = {}
+        full = (1 << block.stop) - (1 << block.start)
+        stack = [((), 0, 0, 0, full, full)]
         steps = 0
         while stack:
-            ids, mask, sm, tm, cand = stack.pop()
+            ids, mask, sm, tm, cand, avail = stack.pop()
             steps += 1
             if steps % 4096 == 0:
                 _check_deadline(deadline, "enumerating layer matchings")
-                if len(matchings) > cap:
+                if steps > cap:
                     raise EnumerationBudgetError(
                         f"a single index layer has over {cap} matchings")
-            matchings.append((ids, mask, sm, tm))
+            group = groups.get(sm)
+            if group is None:
+                group = groups[sm] = []
+            group.append((ids, tm, avail))
             f = cand
             while f:
                 b = f & -f
                 f ^= b
                 c = b.bit_length() - 1
-                if creates_cycle(c, mask):
-                    continue
+                fwd = arc[c]
+                if fwd & mask:
+                    fwd = reach(b, mask, arc)
+                bwd = rev[c]
+                if bwd & mask:
+                    bwd = reach(b, mask, rev)
+                child = avail & ~(b | conflict[c] | (fwd & bwd))
                 stack.append((ids + (c,), mask | b, sm | sbit[c], tm | tbit[c],
-                              f & ~conflict[c]))
-        addables = [tuple((sbit[c], tbit[c]) for c in block
-                          if not ((mask >> c) & 1 or conflict[c] & mask
-                                  or creates_cycle(c, mask)))
-                    for _, mask, _, _ in matchings]
-        return matchings, addables
+                              child & f, child))
+        return groups
 
     def _facet_engine(self, budget: Budget):
         """Count facets exactly, then return (count, lister).
+
+        A layer's matching extends to a facet iff no cover of its avail stays
+        addable: a cover whose source is a target of the layer below
+        (``blocked``) is ruled out there, and any other one must have its
+        target used as a source by the layer above (``need``).  Addable
+        covers share no cell with the matching, so that depends on the
+        matching's avail alone, and whether a matching fits a state
+        (blocked, need) depends on its source mask alone: each state tests
+        each source group once.  In the last layer nothing lies above, so a
+        matching closes a facet iff its avail lies within the covers from
+        blocked sources.
 
         lister() yields facets as sorted global cover id tuples; never called
         when count exceeds the facet budget.
@@ -560,15 +602,33 @@ class MorseComplex:
         blocks, sbit, tbit = self._layers()
         ks = sorted(blocks)
         cap = max(10 * budget.max_facets, 10 ** 6)
-        per_layer = {k: self._layer_matchings(blocks[k], sbit, tbit, deadline, cap)
-                     for k in ks}
-        last = ks[-1]
+        layers = []
+        from_source = []
+        for k in ks:
+            groups = self._layer_matchings(blocks[k], sbit, tbit, deadline, cap)
+            layers.append(groups)
+            covers: dict[int, int] = {}
+            for c in blocks[k]:
+                covers[sbit[c]] = covers.get(sbit[c], 0) | 1 << c
+            from_source.append(covers)
+        last = len(ks) - 1
 
-        def pending(addable, blocked):
+        def ruled_out(ki: int, blocked: int) -> int:
+            """Covers of layer ki whose source is a target below."""
+            covers = from_source[ki]
+            out = 0
+            while blocked:
+                b = blocked & -blocked
+                blocked ^= b
+                out |= covers.get(b, 0)
+            return out
+
+        def pending(avail: int) -> int:
             need = 0
-            for sbit, tbit in addable:
-                if not (sbit & blocked):
-                    need |= tbit
+            while avail:
+                b = avail & -avail
+                avail ^= b
+                need |= tbit[b.bit_length() - 1]
             return need
 
         memo: dict[tuple[int, int, int], int] = {}
@@ -579,18 +639,18 @@ class MorseComplex:
             if got is not None:
                 return got
             _check_deadline(deadline, "counting facets")
-            k = ks[ki]
-            matchings, addables = per_layer[k]
+            free = ~ruled_out(ki, blocked)
             total = 0
-            for (ids, mask, sm, tm), add in zip(matchings, addables):
+            for sm, members in layers[ki].items():
                 if sm & blocked or need & ~sm:
                     continue
-                pend = pending(add, blocked | sm)
-                if k == last:
-                    if pend == 0:
-                        total += 1
+                if ki == last:
+                    for _, _, avail in members:
+                        if not avail & free:
+                            total += 1
                 else:
-                    total += count(ki + 1, tm, pend)
+                    for _, tm, avail in members:
+                        total += count(ki + 1, tm, pending(avail & free))
             memo[key] = total
             return total
 
@@ -601,17 +661,18 @@ class MorseComplex:
 
             def rec(ki: int, blocked: int, need: int, prefix: tuple[int, ...]):
                 _check_deadline(out_deadline, "listing facets")
-                k = ks[ki]
-                matchings, addables = per_layer[k]
-                for (ids, mask, sm, tm), add in zip(matchings, addables):
+                free = ~ruled_out(ki, blocked)
+                for sm, members in layers[ki].items():
                     if sm & blocked or need & ~sm:
                         continue
-                    pend = pending(add, blocked | sm)
-                    if k == last:
-                        if pend == 0:
-                            yield prefix + ids
-                    elif count(ki + 1, tm, pend):
-                        yield from rec(ki + 1, tm, pend, prefix + ids)
+                    for ids, tm, avail in members:
+                        if ki == last:
+                            if not avail & free:
+                                yield prefix + ids
+                            continue
+                        pend = pending(avail & free)
+                        if count(ki + 1, tm, pend):
+                            yield from rec(ki + 1, tm, pend, prefix + ids)
 
             yield from rec(0, 0, 0, ())
 
@@ -710,7 +771,11 @@ class MorseComplex:
         """dim M(K) = size of a maximum acyclic matching minus one.
 
         Branch and bound over covers; the bound counts distinct source cells
-        still available in the remaining suffix.
+        still available in the remaining suffix.  It is not read off the
+        layered facet DP yet: that pays for the full layer enumeration
+        before anything else (about 1 s on K7, where this search takes
+        0.2 s), while this search is exponential instead on complexes with
+        many layers, such as the boundary of the 4-simplex.
         """
         n = self.n_pairs
         if n == 0:

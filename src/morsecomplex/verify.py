@@ -38,13 +38,18 @@ class CriterionResult:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
 
 
+class CriterionFailure(MorseError):
+    """A criterion's claim does not hold; raised instead of ``assert`` so
+    that ``python -O`` cannot switch the check off."""
+
+
 def _result(name: str, check: Callable[[], str]) -> CriterionResult:
     try:
         return CriterionResult(name, True, check())
+    except CriterionFailure as e:
+        return CriterionResult(name, False, str(e))
     except MorseError as e:
         return CriterionResult(name, False, f"{type(e).__name__}: {e}")
-    except AssertionError as e:
-        return CriterionResult(name, False, str(e) or "assertion failed")
 
 
 def _graph_corpus(max_exhaustive: int, sample_7: int, seed: int):
@@ -66,11 +71,13 @@ def criterion_graph_counts(max_exhaustive: int = 6, sample_7: int = 200,
         for G in graphs:
             M = morse_complex(G, budget)
             n_edges = len(G.edges())
-            assert M.n_pairs == 2 * n_edges, \
-                f"{G!r}: {M.n_pairs} pairs, expected {2 * n_edges}"
+            if M.n_pairs != 2 * n_edges:
+                raise CriterionFailure(
+                    f"{G!r}: {M.n_pairs} pairs, expected {2 * n_edges}")
             dim = M.dimension()
-            assert dim == G.n_vertices - 2, \
-                f"{G!r}: Morse dimension {dim}, expected {G.n_vertices - 2}"
+            if dim != G.n_vertices - 2:
+                raise CriterionFailure(
+                    f"{G!r}: Morse dimension {dim}, expected {G.n_vertices - 2}")
         return f"{len(graphs)} graphs: pair count 2|E| and dimension |V|-2 exact"
 
     return _result("graph-counts", check)
@@ -84,7 +91,8 @@ def criterion_forest_identity(max_vertices: int = 6, budget: Optional[Budget] = 
         for n in range(2, max_vertices + 1):
             for G in connected_graphs(n):
                 M = morse_complex(G, budget)
-                assert forest_identity_holds(G, M), f"identity fails on {G!r}"
+                if not forest_identity_holds(G, M):
+                    raise CriterionFailure(f"identity fails on {G!r}")
                 count += 1
         return f"{count} graphs: Morse complex equals forest complex of the double"
 
@@ -103,8 +111,9 @@ def criterion_leaf_degree(max_exhaustive: int = 6, sample_7: int = 200,
             for pair in M.pairs:
                 v = pair.source[0]
                 is_leaf = G.degree(G.labels.index(v)) == 1
-                assert (M.pair_degree(pair) == full) == is_leaf, \
-                    f"{G!r}: degree of {pair} disagrees with leaf status of {v}"
+                if (M.pair_degree(pair) == full) != is_leaf:
+                    raise CriterionFailure(
+                        f"{G!r}: degree of {pair} disagrees with leaf status of {v}")
         return f"{len(graphs)} graphs: leaf <=> pair degree 2|E|-2"
 
     return _result("leaf-degree", check)
@@ -116,12 +125,16 @@ def criterion_wedge_datum(budget: Optional[Budget] = None) -> CriterionResult:
     def check():
         M2 = morse_complex(full_simplex("abc"), budget).as_complex()
         rep = invariants(M2)
-        assert rep.euler == -3, f"euler {rep.euler} != -3"
-        assert rep.betti_mod2 == (1, 4, 0), f"betti {rep.betti_mod2} != (1, 4, 0)"
+        if rep.euler != -3:
+            raise CriterionFailure(f"euler {rep.euler} != -3")
+        if rep.betti_mod2 != (1, 4, 0):
+            raise CriterionFailure(f"betti {rep.betti_mod2} != (1, 4, 0)")
         M1 = morse_complex(full_simplex("ab"), budget).as_complex()
         rep1 = invariants(M1)
-        assert rep1.components == 2, f"components {rep1.components} != 2"
-        assert rep1.euler == 2
+        if rep1.components != 2:
+            raise CriterionFailure(f"components {rep1.components} != 2")
+        if rep1.euler != 2:
+            raise CriterionFailure(f"euler {rep1.euler} != 2")
         return "euler(M(triangle)) = -3, betti (1,4,0); M(edge) has 2 components"
 
     return _result("wedge-datum", check)
@@ -135,12 +148,16 @@ def criterion_counterexample(budget: Optional[Budget] = None) -> CriterionResult
         Gp = SimplicialComplex.closure([["a", "b"], ["b", "c"], ["a", "c"], ["a", "d"]])
         MG = morse_complex(G, budget).as_complex()
         MGp = morse_complex(Gp, budget).as_complex()
-        assert greedy_collapse(MG) is not None, "M(G) should collapse to a point"
-        assert greedy_collapse(MGp) is not None, "M(G') should collapse to a point"
-        assert find_isomorphism(G, Gp) is None, "G and G' must not be isomorphic"
+        if greedy_collapse(MG) is None:
+            raise CriterionFailure("M(G) should collapse to a point")
+        if greedy_collapse(MGp) is None:
+            raise CriterionFailure("M(G') should collapse to a point")
+        if find_isomorphism(G, Gp) is not None:
+            raise CriterionFailure("G and G' must not be isomorphic")
         eG = invariants(G).euler
         eGp = invariants(Gp).euler
-        assert eG == 1 and eGp == 0, f"euler {eG}, {eGp} != 1, 0"
+        if (eG, eGp) != (1, 0):
+            raise CriterionFailure(f"euler {eG}, {eGp} != 1, 0")
         return "both Morse complexes collapse; the graphs differ (euler 1 vs 0)"
 
     return _result("counterexample", check)
@@ -157,16 +174,20 @@ def criterion_complex_determination(max_vertices: int = 5, budget: Optional[Budg
         for i, j in combinations(range(len(corpus)), 2):
             morse_iso = find_isomorphism(morse[i], morse[j])
             complex_iso = find_isomorphism(corpus[i], corpus[j])
-            assert complex_iso is None, \
-                f"corpus members {i}, {j} should be non-isomorphic"
-            assert morse_iso is None, \
-                f"Morse complexes of non-isomorphic members {i}, {j} are isomorphic"
+            if complex_iso is not None:
+                raise CriterionFailure(
+                    f"corpus members {i}, {j} should be non-isomorphic")
+            if morse_iso is not None:
+                raise CriterionFailure(
+                    f"Morse complexes of non-isomorphic members {i}, {j} are isomorphic")
         for i, K in enumerate(corpus):
             F = find_morse_isomorphism(morse[i], morse[i])
-            assert F is not None, f"no automorphism found for member {i}"
+            if F is None:
+                raise CriterionFailure(f"no automorphism found for member {i}")
             f = reconstruct_complex_iso(F, budget)
-            assert f.is_simplicial_isomorphism(K, K), \
-                f"reconstruction of member {i} is not an isomorphism"
+            if not f.is_simplicial_isomorphism(K, K):
+                raise CriterionFailure(
+                    f"reconstruction of member {i} is not an isomorphism")
             if detect_index_anomaly(F) is not None:
                 amb += 1
         return (f"{len(corpus)} complexes: Morse iso <=> complex iso on all pairs; "
@@ -187,24 +208,33 @@ def criterion_multigraph_determination(max_vertices: int = 4, max_multiplicity: 
         for i, j in combinations(range(len(corpus)), 2):
             morse_iso = find_isomorphism(morse[i], morse[j])
             graph_iso = find_multigraph_isomorphism(corpus[i], corpus[j])
-            assert graph_iso is None, f"members {i}, {j} should be non-isomorphic"
-            assert morse_iso is None, \
-                f"Morse complexes of non-isomorphic multigraphs {i}, {j} are isomorphic"
+            if graph_iso is not None:
+                raise CriterionFailure(f"members {i}, {j} should be non-isomorphic")
+            if morse_iso is not None:
+                raise CriterionFailure(
+                    f"Morse complexes of non-isomorphic multigraphs {i}, {j} are isomorphic")
         checked_pairs = 0
         for i, G in enumerate(corpus):
             F = find_morse_isomorphism(morse[i], morse[i])
-            assert F is not None
+            if F is None:
+                raise CriterionFailure(f"no automorphism found for member {i}")
             f, edge_map = reconstruct_multigraph_iso(F, budget)
             for u in G.labels:
                 for v in G.labels:
                     if u < v:
-                        assert G.multiplicity(u, v) == G.multiplicity(f(u), f(v))
-            assert sorted(edge_map) == list(G.edge_ids)
+                        if G.multiplicity(u, v) != G.multiplicity(f(u), f(v)):
+                            raise CriterionFailure(
+                                f"reconstruction of member {i} changes the "
+                                f"multiplicity of {u}-{v}")
+            if sorted(edge_map) != list(G.edge_ids):
+                raise CriterionFailure(
+                    f"edge map of member {i} does not cover its edges")
             if G.n_vertices >= 3:
                 M = morse[i]
                 for p, q in combinations(M.pairs, 2):
-                    assert parallel_pairs(p, q, M) == parallel_by_definition(p, q, G), \
-                        f"parallel-pair characterization fails on {G!r}: {p}, {q}"
+                    if parallel_pairs(p, q, M) != parallel_by_definition(p, q, G):
+                        raise CriterionFailure(
+                            f"parallel-pair characterization fails on {G!r}: {p}, {q}")
                     checked_pairs += 1
         return (f"{len(corpus)} multigraphs: Morse iso <=> multigraph iso; "
                 f"reconstructions verified; parallel characterization exact "
@@ -234,8 +264,9 @@ def criterion_functoriality(samples: int = 1000, seed: int = 0,
             M_Kp = morse_complex(Kp, budget)
             F = MorseIso.functorial(M_K, M_Kp, h)
             f = reconstruct_complex_iso(F, budget)
-            assert f.forward == h.forward, \
-                f"recovered map differs from the inducing permutation on {K!r}"
+            if f.forward != h.forward:
+                raise CriterionFailure(
+                    f"recovered map differs from the inducing permutation on {K!r}")
         return f"{samples} relabellings recovered exactly from their Morse isomorphisms"
 
     return _result("functoriality-roundtrip", check)
@@ -270,7 +301,8 @@ def criterion_oracle(max_covers: int = 12, max_vertices: int = 5,
                 continue
             mine = {frozenset(f) for f in M.facets()}
             oracle = brute_force_morse_facets(K)
-            assert mine == oracle, f"facet lists disagree on {K!r}"
+            if mine != oracle:
+                raise CriterionFailure(f"facet lists disagree on {K!r}")
             count += 1
         return f"{count} complexes with <= {max_covers} covers match the power-set oracle"
 
@@ -290,12 +322,16 @@ def criterion_minimal_cycle_law(budget: Optional[Budget] = None) -> CriterionRes
             oriented.append(next(p for p in M.pairs
                                  if p.source == (v,) and w in p.target))
         for p, q in combinations(oriented, 2):
-            assert M.is_simplex((p, q)), f"{p} and {q} should be compatible"
-        assert not M.is_simplex(oriented), "the three oriented pairs should be incompatible"
-        assert tuple(sorted(oriented)) in minimal_gradient_cycles(M)
+            if not M.is_simplex((p, q)):
+                raise CriterionFailure(f"{p} and {q} should be compatible")
+        if M.is_simplex(oriented):
+            raise CriterionFailure("the three oriented pairs should be incompatible")
+        if tuple(sorted(oriented)) not in minimal_gradient_cycles(M):
+            raise CriterionFailure("the oriented pairs should be a minimal gradient cycle")
         span = M.induced_subcomplex(oriented)
         expected = boundary_simplex([M.id_of_pair(p) for p in oriented])
-        assert span == expected, "spanned subcomplex should be the empty triangle"
+        if span != expected:
+            raise CriterionFailure("spanned subcomplex should be the empty triangle")
         return "oriented triangle pairs: pairwise compatible, jointly not; span is a 2-sphere boundary"
 
     return _result("minimal-cycle-law", check)

@@ -158,3 +158,18 @@ def test_verify_tiny(tmp_path, capsys):
     lines = out.splitlines()
     assert sum(1 for l in lines if l.startswith("PASS")) == 10
     assert lines[-1].endswith("criteria passed")
+
+
+def test_unexpected_error_exits_5_without_traceback(tmp_path, capsys, monkeypatch):
+    # exit 1 means a negative verdict, so a crash must not end with exit 1
+    from morsecomplex import cli
+
+    def deep(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "cmd_build", deep)
+    f = write(tmp_path, "edge.cx", "a b\n")
+    code, out, err = run(capsys, "build", f)
+    assert code == 5
+    assert out == ""
+    assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"

@@ -247,3 +247,58 @@ def test_empty_morse_complex():
     assert M.n_pairs == 0
     assert M.facets() == ()
     assert M.as_complex().simplices == frozenset()
+
+
+def test_is_acyclic_on_long_gradient_chains():
+    # the chain v0 -> v0v1, v1 -> v1v2, ... is deeper than the recursion limit
+    n = 1200
+    labs = [f"v{i:04d}" for i in range(n)]
+    chain = [RegularPair((labs[i],), (labs[i], labs[i + 1]), 0) for i in range(n - 1)]
+    assert is_acyclic(chain)
+    closing = RegularPair((labs[-1],), (labs[0], labs[-1]), 0)
+    assert not is_acyclic(chain + [closing])
+
+
+def test_facet_count_of_complete_graphs_is_cayley():
+    for n in range(2, 7):
+        assert morse_complex(complete_graph(n)).facet_count() == n ** (n - 1)
+
+
+def test_facet_count_of_full_4_simplex():
+    # the number given in the paper
+    assert morse_complex(full_simplex("abcde")).facet_count() == 16_369_045
+
+
+def check_extendable_sets(M):
+    """Each layer's matchings and extendable sets against a recomputation
+    from scratch: every member is an acyclic matching with the right cell
+    masks and extendable set, no matching repeats, and the list is closed
+    under adding a higher extendable cover, so no matching is missing."""
+    blocks, sbit, tbit = M._layers()
+    for block in blocks.values():
+        groups = M._layer_matchings(block, sbit, tbit, float("inf"), 10 ** 7)
+        seen = set()
+        for sm, members in groups.items():
+            for ids, tm, avail in members:
+                mask = sum(1 << c for c in ids)
+                assert list(ids) == sorted(ids) and mask not in seen
+                seen.add(mask)
+                assert M._is_simplex_mask(mask)
+                assert sm == sum(sbit[c] for c in ids)
+                assert tm == sum(tbit[c] for c in ids)
+                expected = sum(1 << c for c in block
+                               if not (mask >> c) & 1 and not M._conflict[c] & mask
+                               and not M._creates_cycle(c, mask))
+                assert avail == expected
+        assert 0 in seen
+        for members in groups.values():
+            for ids, _, avail in members:
+                mask = sum(1 << c for c in ids)
+                for c in block:
+                    if (avail >> c) & 1 and c > max(ids, default=-1):
+                        assert mask | 1 << c in seen
+
+
+def test_layer_extendable_sets_from_scratch():
+    for obj in connected_complexes(4) + connected_multigraphs(4, 2):
+        check_extendable_sets(morse_complex(obj))

@@ -478,7 +478,29 @@ def test_theorem_checks_are_not_asserts():
     # python -O strips assert statements; theorem checks must raise instead
     import ast
     import inspect
-    from morsecomplex import isomorphism, morse, reconstruction
-    for module in (isomorphism, morse, reconstruction):
+    from morsecomplex import isomorphism, morse, reconstruction, verify
+    for module in (isomorphism, morse, reconstruction, verify):
         tree = ast.parse(inspect.getsource(module))
         assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_verify_checks_survive_python_O():
+    # with one facet dropped from every listing, the power-set cross-check
+    # must still fail when the interpreter strips assert statements
+    import os
+    import subprocess
+    import sys
+
+    import morsecomplex
+    script = (
+        "from morsecomplex import morse, verify\n"
+        "listing = morse.MorseComplex.facets\n"
+        "morse.MorseComplex.facets = lambda self, budget=None: listing(self, budget)[1:]\n"
+        "r = verify.criterion_oracle(6, 3)\n"
+        "print(__debug__, r.passed)\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(morsecomplex.__file__)))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False False\n"
