@@ -37,7 +37,8 @@ class SimplicialComplex:
     __slots__ = ("labels", "simplices", "_facets", "_index")
 
     def __init__(self, labels: tuple[str, ...], simplices: frozenset[Simplex]):
-        assert list(labels) == sorted(labels), "label table must be sorted"
+        if list(labels) != sorted(labels):
+            raise MalformedInputError("label table must be sorted")
         self.labels = labels
         self.simplices = simplices
         self._facets: Optional[tuple[Simplex, ...]] = None
@@ -46,9 +47,10 @@ class SimplicialComplex:
             used = set()
             for s in simplices:
                 used.update(s)
-            assert used == set(range(len(labels))), "vertex set must equal union of simplices"
-        else:
-            assert labels == ()
+            if used != set(range(len(labels))):
+                raise MalformedInputError("vertex set must equal union of simplices")
+        elif labels != ():
+            raise MalformedInputError("the empty complex has no vertices")
 
     # -- construction ----------------------------------------------------
 
@@ -218,11 +220,15 @@ class Multigraph:
 
     def __init__(self, labels: tuple[str, ...], edge_ids: tuple[str, ...],
                  boundary: tuple[tuple[int, int], ...]):
-        assert list(labels) == sorted(labels)
-        assert list(edge_ids) == sorted(edge_ids)
-        assert len(edge_ids) == len(boundary)
+        if list(labels) != sorted(labels):
+            raise MalformedInputError("label table must be sorted")
+        if list(edge_ids) != sorted(edge_ids):
+            raise MalformedInputError("edge id table must be sorted")
+        if len(edge_ids) != len(boundary):
+            raise MalformedInputError("every edge needs exactly one boundary")
         for u, v in boundary:
-            assert 0 <= u < v < len(labels), "edge boundary must be two distinct vertices"
+            if not 0 <= u < v < len(labels):
+                raise MalformedInputError("edge boundary must be two distinct vertices")
         self.labels = labels
         self.edge_ids = edge_ids
         self.boundary = boundary

@@ -2,10 +2,16 @@
 small connected graphs, simplicial complexes and multigraphs up to
 isomorphism, plus seeded random variants.
 
-Exhaustive generators enumerate labelled objects and deduplicate with
-canonical forms (small vertex counts) or invariant buckets refined by the
-exact isomorphism search (graphs on 6 vertices).  All randomness flows
-through an explicit random.Random, so runs are reproducible from a seed.
+Exhaustive generators enumerate labelled objects, each an int bitmask over a
+fixed universe (subsets of the vertices, vertex pairs, or (pair,
+multiplicity) slots), and deduplicate with an orbit table: every vertex
+permutation is precomputed once as an index map on the universe, the first
+labelled member of a class adds its whole orbit to the table, and every
+later member costs one lookup (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 1998).  Complexes and multigraphs are emitted in
+canonical min-permutation form, computed for first members only.  All
+randomness flows through an explicit random.Random, so runs are
+reproducible from a seed.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from itertools import combinations, permutations, product
 from typing import Iterable
 
 from .complexes import Multigraph, SimplicialComplex, VertexBijection
-from .isomorphism import find_isomorphism
+from .errors import MalformedInputError
 
 
 def _labels(n: int, prefix: str = "v") -> list[str]:
@@ -31,18 +37,21 @@ def full_simplex(labels: Iterable[str]) -> SimplicialComplex:
 def boundary_simplex(labels: Iterable[str]) -> SimplicialComplex:
     """The boundary of the simplex on the given vertices."""
     labels = list(labels)
-    assert len(labels) >= 2
+    if len(labels) < 2:
+        raise MalformedInputError("a simplex boundary needs at least 2 vertices")
     return SimplicialComplex.closure([labels[:i] + labels[i + 1:] for i in range(len(labels))])
 
 
 def cycle_graph(n: int, prefix: str = "v") -> SimplicialComplex:
-    assert n >= 3
+    if n < 3:
+        raise MalformedInputError("a cycle graph needs at least 3 vertices")
     labs = _labels(n, prefix)
     return SimplicialComplex.closure([[labs[i], labs[(i + 1) % n]] for i in range(n)])
 
 
 def path_graph(n: int, prefix: str = "v") -> SimplicialComplex:
-    assert n >= 1
+    if n < 1:
+        raise MalformedInputError("a path graph needs at least 1 vertex")
     labs = _labels(n, prefix)
     if n == 1:
         return SimplicialComplex.closure([labs])
@@ -68,58 +77,64 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]], prefix: str = "v"
     return SimplicialComplex.closure(faces)
 
 
-def _connected_edge_sets(n: int):
-    """All connected labelled graphs on n vertices, as edge index sets."""
-    all_edges = list(combinations(range(n), 2))
-    m = len(all_edges)
-    for mask in range(1 << m):
-        edges = [all_edges[i] for i in range(m) if (mask >> i) & 1]
-        parent = list(range(n))
+def _index_maps(items: list[tuple[int, ...]],
+                perms: list[tuple[int, ...]]) -> list[list[int]]:
+    """Each vertex permutation as a map on positions in items, a list of
+    sorted vertex tuples closed under relabelling."""
+    index = {s: i for i, s in enumerate(items)}
+    return [[index[tuple(sorted(p[v] for v in s))] for s in items] for p in perms]
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
 
-        for u, v in edges:
-            a, b = find(u), find(v)
-            if a != b:
-                parent[a] = b
-        if len({find(v) for v in range(n)}) == 1:
-            yield edges
+def _bits(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _orbit(bits: list[int], maps: list[list[int]]) -> set[int]:
+    """The images, as bitmasks, of the object with the given bit positions
+    under every index map."""
+    return {sum(1 << m[i] for i in bits) for m in maps}
+
+
+def _connected_cover(parts: list[int], full: int) -> bool:
+    """True iff the vertex bitmasks in parts cover full and the hypergraph
+    they form is connected."""
+    if not parts:
+        return False
+    reach = parts[0]
+    grown = True
+    while grown:
+        grown = False
+        for p in parts:
+            if p & reach and p & ~reach:
+                reach |= p
+                grown = True
+    return reach == full
 
 
 @lru_cache(maxsize=None)
 def connected_graphs(n: int) -> tuple[SimplicialComplex, ...]:
-    """All connected simple graphs on n vertices, up to isomorphism.
+    """All connected simple graphs on n vertices, up to isomorphism: the
+    first labelled member of each class in edge-mask order.
 
-    Deduplication buckets labelled graphs by degree-based invariants and
-    settles collisions with the exact search; practical for n <= 6.
+    Each class's orbit goes into the table once, so every later member costs
+    one lookup; the n! permutations make this practical for n <= 6.
     """
     if n == 1:
         return (path_graph(1),)
+    pairs = list(combinations(range(n), 2))
+    edge_bits = [1 << u | 1 << v for u, v in pairs]
+    maps = _index_maps(pairs, list(permutations(range(n))))
+    full = (1 << n) - 1
+    seen: set[int] = set()
     out: list[SimplicialComplex] = []
-    buckets: dict[tuple, list[int]] = {}
-    for edges in _connected_edge_sets(n):
-        adj = [set() for _ in range(n)]
-        for u, v in edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        degs = sorted(len(a) for a in adj)
-        nbr = sorted(tuple(sorted(len(adj[w]) for w in adj[v])) for v in range(n))
-        tris = sum(1 for a, b, c in combinations(range(n), 3)
-                   if b in adj[a] and c in adj[a] and c in adj[b])
-        key = (len(edges), tuple(degs), tuple(nbr), tris)
-        G = graph_from_edges(n, edges)
-        known = False
-        for idx in buckets.get(key, ()):
-            if find_isomorphism(G, out[idx]) is not None:
-                known = True
-                break
-        if not known:
-            buckets.setdefault(key, []).append(len(out))
-            out.append(G)
+    for mask in range(1 << len(pairs)):
+        if mask in seen:
+            continue
+        bits = _bits(mask)
+        if not _connected_cover([edge_bits[i] for i in bits], full):
+            continue
+        seen |= _orbit(bits, maps)
+        out.append(graph_from_edges(n, [pairs[i] for i in bits]))
     return tuple(out)
 
 
@@ -139,53 +154,33 @@ def connected_complexes(max_vertices: int = 5) -> tuple[SimplicialComplex, ...]:
     up to isomorphism (canonical min-permutation form)."""
     out = []
     for k in range(1, max_vertices + 1):
-        universe = [frozenset(c) for r in range(1, k + 1)
-                    for c in combinations(range(k), r)]
-        universe.sort(key=lambda s: (len(s), sorted(s)))
+        universe = [s for r in range(1, k + 1) for s in combinations(range(k), r)]
+        vmask = [sum(1 << v for v in s) for s in universe]
+        comparable = [sum(1 << j for j, b in enumerate(vmask) if (a & b) in (a, b))
+                      for a in vmask]
         perms = list(permutations(range(k)))
-        seen = set()
-        chosen: list[frozenset] = []
-
-        def emit():
-            used = set().union(*chosen) if chosen else set()
-            if len(used) != k:
-                return
-            parent = list(range(k))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for fs in chosen:
-                members = sorted(fs)
-                for b in members[1:]:
-                    ra, rb = find(members[0]), find(b)
-                    if ra != rb:
-                        parent[ra] = rb
-            if len({find(v) for v in range(k)}) != 1:
-                return
+        maps = _index_maps(universe, perms)
+        full = (1 << k) - 1
+        labs = _labels(k)
+        seen: set[int] = set()
+        # facet families are the antichains of the universe, listed in the
+        # order of a search that leaves each subset out before taking it
+        stack = [(0, 0)]
+        while stack:
+            mask, start = stack.pop()
+            stack.extend((mask | 1 << j, j + 1) for j in range(start, len(universe))
+                         if not mask & comparable[j])
+            if mask in seen:
+                continue
+            bits = _bits(mask)
+            if not _connected_cover([vmask[i] for i in bits], full):
+                continue
+            seen |= _orbit(bits, maps)
+            chosen = [universe[i] for i in bits]
             canon = min(tuple(sorted(tuple(sorted(p[v] for v in fs)) for fs in chosen))
                         for p in perms)
-            if canon not in seen:
-                seen.add(canon)
-                labs = _labels(k)
-                out.append(SimplicialComplex.closure(
-                    [[labs[v] for v in fs] for fs in canon]))
-
-        def rec(i: int):
-            if i == len(universe):
-                emit()
-                return
-            rec(i + 1)
-            s = universe[i]
-            if all(not (s <= t or t <= s) for t in chosen):
-                chosen.append(s)
-                rec(i + 1)
-                chosen.pop()
-
-        rec(0)
+            out.append(SimplicialComplex.closure(
+                [[labs[v] for v in fs] for fs in canon]))
     return tuple(out)
 
 
@@ -194,31 +189,38 @@ def connected_multigraphs(max_vertices: int = 4, max_multiplicity: int = 3) -> t
     """All connected multigraphs with at most max_vertices vertices and at
     most max_multiplicity parallel edges per class, up to isomorphism."""
     out: list[Multigraph] = []
+    mm = max_multiplicity
     for n in range(1, max_vertices + 1):
-        perms = list(permutations(range(n)))
-        seen = set()
         if n == 1:
             out.append(Multigraph.from_edges([], isolated=["v0"]))
             continue
-        for edges in _connected_edge_sets(n):
-            for mults in product(range(1, max_multiplicity + 1), repeat=len(edges)):
-                matrix = {}
-                for (u, v), m in zip(edges, mults):
-                    matrix[(u, v)] = m
+        pairs = list(combinations(range(n), 2))
+        edge_bits = [1 << u | 1 << v for u, v in pairs]
+        perms = list(permutations(range(n)))
+        # slot e * mm + m - 1 stands for m parallel edges on pair e
+        maps = [[e * mm + r for e in m for r in range(mm)]
+                for m in _index_maps(pairs, perms)]
+        full = (1 << n) - 1
+        labs = _labels(n)
+        seen: set[int] = set()
+        for support in range(1 << len(pairs)):
+            ids = _bits(support)
+            if not _connected_cover([edge_bits[e] for e in ids], full):
+                continue
+            edges = [pairs[e] for e in ids]
+            for mults in product(range(1, mm + 1), repeat=len(ids)):
+                bits = [e * mm + m - 1 for e, m in zip(ids, mults)]
+                if sum(1 << i for i in bits) in seen:
+                    continue
+                seen |= _orbit(bits, maps)
                 canon = min(
                     tuple(sorted((tuple(sorted((p[u], p[v]))), m)
-                                 for (u, v), m in matrix.items()))
+                                 for (u, v), m in zip(edges, mults)))
                     for p in perms)
-                if canon in seen:
-                    continue
-                seen.add(canon)
-                labs = _labels(n)
                 triples = []
-                count = 0
                 for (u, v), m in canon:
                     for _ in range(m):
-                        triples.append((f"e{count}", labs[u], labs[v]))
-                        count += 1
+                        triples.append((f"e{len(triples)}", labs[u], labs[v]))
                 out.append(Multigraph.from_edges(triples))
     return tuple(out)
 

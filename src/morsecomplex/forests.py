@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .complexes import SimplicialComplex
-from .errors import MalformedInputError
+from .errors import HypothesisViolationError, MalformedInputError
 from .morse import MorseComplex
 
 
@@ -27,8 +27,10 @@ class DirectedGraph:
 
     def __init__(self, labels: tuple[str, ...], arc_names: tuple[str, ...],
                  arcs: tuple[tuple[int, int], ...]):
-        assert list(labels) == sorted(labels)
-        assert len(arc_names) == len(set(arc_names)) == len(arcs)
+        if list(labels) != sorted(labels):
+            raise MalformedInputError("label table must be sorted")
+        if not len(arc_names) == len(set(arc_names)) == len(arcs):
+            raise MalformedInputError("arc names must be distinct, one per arc")
         for t, h in arcs:
             if t == h:
                 raise MalformedInputError("loop arc in directed graph")
@@ -121,7 +123,8 @@ def morse_arrow_labels(M: MorseComplex) -> tuple[str, ...]:
     source v along edge vw becomes the arc v -> w."""
     out = []
     for p in M.pairs:
-        assert p.index == 0 and len(p.target) == 2, "arrow labels exist for graph pairs only"
+        if p.index != 0 or len(p.target) != 2:
+            raise HypothesisViolationError("arrow labels exist for graph pairs only")
         v = p.source[0]
         w = p.target[0] if p.target[1] == v else p.target[1]
         out.append(arrow_name(v, w))

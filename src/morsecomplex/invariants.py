@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import SimplicialComplex, immediate_faces
-from .errors import MalformedInputError
+from .errors import MalformedInputError, TheoremContradictionError
 
 
 @dataclass(frozen=True)
@@ -107,12 +107,15 @@ def greedy_collapse(K: SimplicialComplex) -> Optional[list[tuple[tuple[str, ...]
                 if cand in simplices:
                     tau = cand
                     break
-        assert tau is not None
+        if tau is None:
+            raise TheoremContradictionError(
+                f"free face {K.to_labels(sigma)} has no codimension-1 coface")
         remove(sigma)
         remove(tau)
         sequence.append((K.to_labels(sigma), K.to_labels(tau)))
     (last,) = simplices
-    assert len(last) == 1, "a collapse sequence must end at a vertex"
+    if len(last) != 1:
+        raise TheoremContradictionError("a collapse sequence must end at a vertex")
     return sequence
 
 
@@ -123,7 +126,9 @@ def invariants(K: SimplicialComplex) -> InvariantReport:
     f_vec = K.f_vector()
     euler = sum((-1) ** k * c for k, c in enumerate(f_vec))
     betti = betti_mod2(K)
-    assert euler == sum((-1) ** k * b for k, b in enumerate(betti))
+    if euler != sum((-1) ** k * b for k, b in enumerate(betti)):
+        raise TheoremContradictionError(
+            f"Euler characteristic {euler} differs from the alternating Betti sum {betti}")
     return InvariantReport(
         f_vector=f_vec,
         euler=euler,

@@ -45,6 +45,26 @@ def _incidence(n: int, family: Iterable[frozenset[int]]) -> list[list[frozenset[
     return inc
 
 
+def _signatures(cols: list[int], inc: list[list[frozenset[int]]]) -> list[tuple]:
+    """Per vertex, its colour and the sorted colour multisets of its sets.
+
+    With the vertex's own colour fixed, the multiset of a set S through v
+    carries what that of S - v does, so each set's key is computed once.
+    """
+    key: dict[frozenset[int], tuple[int, ...]] = {}
+    sigs = []
+    for v, sets in enumerate(inc):
+        keys = []
+        for S in sets:
+            k = key.get(S)
+            if k is None:
+                k = key[S] = tuple(sorted([cols[u] for u in S]))
+            keys.append(k)
+        keys.sort()
+        sigs.append((cols[v], tuple(keys)))
+    return sigs
+
+
 def _refine(n_a: int, inc_a: list[list[frozenset[int]]],
             n_b: int, inc_b: list[list[frozenset[int]]]) -> Optional[tuple[list[int], list[int]]]:
     """Joint iterated refinement on incidence lists; None if the colour
@@ -54,16 +74,8 @@ def _refine(n_a: int, inc_a: list[list[frozenset[int]]],
     n_classes = 1
     while True:
         table: dict = {}
-
-        def signature(v, cols, inc):
-            profile = sorted(
-                (len(S), tuple(sorted(cols[u] for u in S if u != v)))
-                for S in inc[v]
-            )
-            return (cols[v], tuple(profile))
-
-        sig_a = [signature(v, col_a, inc_a) for v in range(n_a)]
-        sig_b = [signature(v, col_b, inc_b) for v in range(n_b)]
+        sig_a = _signatures(col_a, inc_a)
+        sig_b = _signatures(col_b, inc_b)
         for s in sig_a + sig_b:
             if s not in table:
                 table[s] = len(table)
@@ -147,6 +159,13 @@ def set_family_isomorphisms(n_a: int, fams_a: list[frozenset[int]],
             adj_b[x].add(y)
             adj_b[y].add(x)
 
+    # A is assigned in order, so a set of A becomes fully assigned exactly
+    # when its largest member is
+    closing_a: list[list[frozenset[int]]] = [[] for _ in range(n_a)]
+    for S in fam_a_set:
+        if S:
+            closing_a[max(S)].append(S)
+
     fwd: list[Optional[int]] = [None] * n_a
     bwd: list[Optional[int]] = [None] * n_b
 
@@ -156,15 +175,9 @@ def set_family_isomorphisms(n_a: int, fams_a: list[frozenset[int]],
         if ({fwd[u] for u in adj_a[v] if u < v}
                 != {x for x in adj_b[w] if bwd[x] is not None}):
             return False
-        for S in inc_a[v]:
-            img = []
-            for u in S:
-                if fwd[u] is None and u != v:
-                    break
-                img.append(w if u == v else fwd[u])
-            else:
-                if frozenset(img) not in fam_b_set:
-                    return False
+        for S in closing_a[v]:
+            if frozenset([w if u == v else fwd[u] for u in S]) not in fam_b_set:
+                return False
         for S in inc_b[w]:
             pre = []
             for u in S:

@@ -162,26 +162,23 @@ def is_matching(pairs: Iterable[RegularPair]) -> bool:
 
 
 def _pair_arcs(pairs: list[RegularPair], G: Optional[Multigraph]):
-    """Arc p -> q when q's source is an immediate face of p's target (and
-    differs from p's source); grouped by index."""
-    by_index: dict[int, list[int]] = {}
+    """Arc p -> q when q has p's index and q's source is an immediate face of
+    p's target other than p's source; each pair's arcs in ascending order."""
+    by_source: dict[tuple, list[int]] = {}
     for i, p in enumerate(pairs):
-        by_index.setdefault(p.index, []).append(i)
-    arcs: dict[int, list[int]] = {i: [] for i in range(len(pairs))}
-    for idx, members in by_index.items():
-        for i in members:
-            p = pairs[i]
-            if len(p.target) == len(p.source) + 1:
-                below = set(immediate_faces(p.target))
-            else:
-                if G is None:
-                    raise MalformedInputError(
-                        "multigraph regular pairs need the multigraph for face relations")
-                u, v = G.endpoints(p.target[0])
-                below = {(u,), (v,)}
-            for j in members:
-                if j != i and pairs[j].source != p.source and pairs[j].source in below:
-                    arcs[i].append(j)
+        by_source.setdefault((p.index, p.source), []).append(i)
+    arcs: dict[int, list[int]] = {}
+    for i, p in enumerate(pairs):
+        if len(p.target) == len(p.source) + 1:
+            below = set(immediate_faces(p.target))
+        else:
+            if G is None:
+                raise MalformedInputError(
+                    "multigraph regular pairs need the multigraph for face relations")
+            u, v = G.endpoints(p.target[0])
+            below = {(u,), (v,)}
+        below.discard(p.source)
+        arcs[i] = sorted(j for f in below for j in by_source.get((p.index, f), ()))
     return arcs
 
 

@@ -150,3 +150,16 @@ def test_vertex_bijection_checks():
     assert not bad.is_simplicial_isomorphism(K, K)
     with pytest.raises(MalformedInputError):
         VertexBijection({"a": "x", "b": "x"})
+
+
+def test_constructors_reject_malformed_tables():
+    with pytest.raises(MalformedInputError):
+        SimplicialComplex(("b", "a"), frozenset({(0,), (1,)}))
+    with pytest.raises(MalformedInputError):
+        SimplicialComplex(("a", "b"), frozenset({(0,)}))
+    with pytest.raises(MalformedInputError):
+        SimplicialComplex(("a",), frozenset())
+    with pytest.raises(MalformedInputError):
+        Multigraph(("a", "b"), ("e1",), ((1, 0),))
+    with pytest.raises(MalformedInputError):
+        Multigraph(("a", "b"), ("e1", "e2"), ((0, 1),))

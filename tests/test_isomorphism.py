@@ -160,3 +160,59 @@ def test_set_family_isomorphisms_equal_brute_force_in_order():
                      if all(frozenset(img[i] for i in S) in target_set for S in fam)]
             assert list(set_family_isomorphisms(n, fam, n, target)) == brute
             assert brute
+
+
+def _refine_by_definition(n_a, inc_a, n_b, inc_b):
+    """Joint refinement with each vertex signed by its colour and, per set
+    through it, the set's size and the colours of its other members."""
+    col_a = [0] * n_a
+    col_b = [0] * n_b
+    n_classes = 1
+    while True:
+        def signature(v, cols, inc):
+            profile = sorted((len(S), tuple(sorted(cols[u] for u in S if u != v)))
+                             for S in inc[v])
+            return (cols[v], tuple(profile))
+
+        sig_a = [signature(v, col_a, inc_a) for v in range(n_a)]
+        sig_b = [signature(v, col_b, inc_b) for v in range(n_b)]
+        table: dict = {}
+        for s in sig_a + sig_b:
+            table.setdefault(s, len(table))
+        col_a = [table[s] for s in sig_a]
+        col_b = [table[s] for s in sig_b]
+        if sorted(col_a) != sorted(col_b):
+            return None
+        new_classes = len(set(col_a))
+        if new_classes == n_classes:
+            return col_a, col_b
+        n_classes = new_classes
+
+
+def test_refine_equals_signature_definition():
+    # colours and their numbering match, against the family itself and
+    # against a seeded relabelling, and so do the rejections
+    from morsecomplex import morse_complex
+    from morsecomplex.corpus import connected_multigraphs
+    from morsecomplex.isomorphism import _incidence, _refine
+    rng = random.Random(9)
+    sources = list(connected_complexes(5)) + list(connected_multigraphs(4, 3))
+    sources += [path_graph(50), path_graph(80)]
+    families = {}
+    for X in sources:
+        M = morse_complex(X)
+        n, fam = M.n_pairs, set(M.minimal_nonfaces())
+        families.setdefault(n, []).append(fam)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        for other in (fam, {frozenset(perm[v] for v in S) for S in fam}):
+            args = (n, _incidence(n, fam), n, _incidence(n, other))
+            assert _refine(*args) == _refine_by_definition(*args)
+    n_rejected = 0
+    for n, fams in families.items():
+        for fam, other in zip(fams, fams[1:4]):
+            args = (n, _incidence(n, fam), n, _incidence(n, other))
+            got = _refine(*args)
+            assert got == _refine_by_definition(*args)
+            n_rejected += got is None
+    assert n_rejected

@@ -302,3 +302,27 @@ def check_extendable_sets(M):
 def test_layer_extendable_sets_from_scratch():
     for obj in connected_complexes(4) + connected_multigraphs(4, 2):
         check_extendable_sets(morse_complex(obj))
+
+
+def pair_arcs_by_definition(pairs, G):
+    """Arcs p -> q by comparing every two pairs of an index."""
+    arcs = {}
+    for i, p in enumerate(pairs):
+        if len(p.target) == len(p.source) + 1:
+            below = {p.target[:k] + p.target[k + 1:] for k in range(len(p.target))}
+        else:
+            below = {(v,) for v in G.endpoints(p.target[0])}
+        arcs[i] = [j for j, q in enumerate(pairs)
+                   if j != i and q.index == p.index and q.source != p.source
+                   and q.source in below]
+    return arcs
+
+
+def test_pair_arcs_equal_quadratic_definition():
+    from morsecomplex.morse import _pair_arcs
+    sources = [(K, None) for K in connected_complexes(4)]
+    sources += [(G, G) for G in connected_multigraphs(4, 3)]
+    for X, G in sources:
+        pairs = primitive_pairs(X)
+        for order in (pairs, pairs[::-1]):
+            assert _pair_arcs(order, G) == pair_arcs_by_definition(order, G)
