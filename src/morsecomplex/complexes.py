@@ -26,6 +26,24 @@ def immediate_faces(simplex: tuple) -> list[tuple]:
     return sorted(simplex[:i] + simplex[i + 1:] for i in range(len(simplex)))
 
 
+def union_find(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Per element of 0..n-1, the root of its class under the equivalence
+    relation generated by the given pairs."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        a, b = find(a), find(b)
+        if a != b:
+            parent[a] = b
+    return [find(v) for v in range(n)]
+
+
 class SimplicialComplex:
     """Immutable finite abstract simplicial complex.
 
@@ -162,23 +180,8 @@ class SimplicialComplex:
 
     def components(self) -> int:
         """Number of connected components of the 1-skeleton."""
-        n = len(self.labels)
-        if n == 0:
-            return 0
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for s in self.simplices:
-            if len(s) == 2:
-                a, b = find(s[0]), find(s[1])
-                if a != b:
-                    parent[a] = b
-        return len({find(v) for v in range(n)})
+        return len(set(union_find(len(self.labels),
+                                  (s for s in self.simplices if len(s) == 2))))
 
     def is_connected(self) -> bool:
         """True iff the 1-skeleton has exactly one component; empty complex is not connected."""
@@ -287,22 +290,7 @@ class Multigraph:
         return len(set(self.boundary)) == len(self.boundary)
 
     def is_connected(self) -> bool:
-        n = len(self.labels)
-        if n == 0:
-            return False
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in self.boundary:
-            a, b = find(u), find(v)
-            if a != b:
-                parent[a] = b
-        return len({find(v) for v in range(n)}) == 1
+        return len(set(union_find(len(self.labels), self.boundary))) == 1
 
     def multiplicity(self, u: str, v: str) -> int:
         return len(self.edges_between(u, v))

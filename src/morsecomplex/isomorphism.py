@@ -1,10 +1,16 @@
 """Exact isomorphism search for complexes, set families and multigraphs.
 
-The core engine decides whether two finite set families (over labelled
-vertex sets) are related by a vertex bijection mapping one family onto the
-other.  A simplicial complex is handled through its facet family; objects
-that expose ``iso_structure()`` (notably Morse complexes, which are far too
-large to materialise) supply their own defining family instead.
+There is one engine, ``set_family_isomorphisms``: it decides whether two
+finite set families (over labelled vertex sets) are related by a vertex
+bijection mapping one family onto the other.  A simplicial complex is handled
+through its facet family; objects that expose ``iso_structure()`` (notably
+Morse complexes, which are far too large to materialise) supply their own
+defining family instead.  A multigraph becomes a plain set family too: one
+marker vertex per distinct edge multiplicity, numbered before the
+multigraph's vertices and pinned by the chain {c1}, {c1, c2}, ..., and one
+set {c_rank(m), u, v} per parallel class of multiplicity m on (u, v).  The
+markers come first, so each class's multiplicity is checked as soon as both
+of its ends are assigned.
 
 The search assigns vertices in canonical label order and tries candidates in
 ascending order, so the first witness found is the lexicographically least
@@ -16,7 +22,9 @@ Twins are computed lazily, at a search's first dead end and only within
 refined colour classes, so searches that never backtrack pay nothing; the
 skipped subtrees yield nothing, so the bijections found, their order and the
 lexicographically least witness are exactly those of the unpruned search.
-Intended for desk-scale inputs (a few dozen vertices), exact always.
+The search runs on an explicit stack, so its depth (the vertex count) is not
+bounded by the interpreter's recursion limit.  Intended for desk-scale
+inputs, exact always.
 """
 
 from __future__ import annotations
@@ -199,40 +207,53 @@ def set_family_isomorphisms(n_a: int, fams_a: list[frozenset[int]],
     twin_b: Optional[list[int]] = None
     twinned: set[int] = set()  # least members of twin classes of size > 1
 
-    def search(v: int) -> Iterator[tuple[int, ...]]:
-        nonlocal twin_b, twinned
+    # depth-first over v = 0..n_a-1 on an explicit stack: per depth, the next
+    # candidate index, the yield count when fwd[v] was assigned (the subtree
+    # yielded iff it has grown since) and the twin classes of candidates whose
+    # subtree yielded nothing.  A twin w' of such a w is unassigned too, so
+    # (w w') fixes the partial map and would carry any extension through w'
+    # to one through w.
+    pos = [0] * n_a
+    mark = [0] * n_a
+    dead: list[set[int]] = [set() for _ in range(n_a)]
+    yields = 0
+    v = 0
+    while v >= 0:
         if v == n_a:
             image = tuple(fwd)  # type: ignore[arg-type]
             if verify(image):
+                yields += 1
                 yield image
-            return
-        # twin classes of candidates whose subtree yielded nothing: a twin w'
-        # of such a w is unassigned too, so (w w') fixes the partial map and
-        # would carry any extension through w' to one through w
-        dead: set[int] = set()
-        for w in by_colour[col_a[v]]:
-            if bwd[w] is not None:
-                continue
-            if dead and twin_b[w] in dead:  # type: ignore[index]
-                continue
-            if not consistent(v, w):
-                continue
-            fwd[v] = w
-            bwd[w] = v
-            found = False
-            for image in search(v + 1):
-                found = True
-                yield image
+            v -= 1
+            continue
+        w = fwd[v]
+        if w is not None:  # back from the subtree of v -> w
             fwd[v] = None
             bwd[w] = None
-            if not found:
+            if yields == mark[v]:
                 if twin_b is None:
                     twin_b = twin_classes(n_b, fam_b_set, col_b)
                     twinned = {r for u, r in enumerate(twin_b) if r != u}
                 if twin_b[w] in twinned:
-                    dead.add(twin_b[w])
-
-    yield from search(0)
+                    dead[v].add(twin_b[w])
+        row, i, dead_v = by_colour[col_a[v]], pos[v], dead[v]
+        while i < len(row):
+            w = row[i]
+            i += 1
+            if (bwd[w] is None and not (dead_v and twin_b[w] in dead_v)  # type: ignore[index]
+                    and consistent(v, w)):
+                break
+        else:
+            v -= 1
+            continue
+        pos[v] = i
+        fwd[v] = w
+        bwd[w] = v
+        mark[v] = yields
+        v += 1
+        if v < n_a:
+            pos[v] = 0
+            dead[v].clear()
 
 
 def _certificate(labels, fams):
@@ -272,66 +293,45 @@ def all_isomorphisms(K, L, limit: Optional[int] = None) -> list[VertexBijection]
 
 def find_multigraph_isomorphism(
         G: Multigraph, H: Multigraph) -> Optional[tuple[VertexBijection, dict[str, str]]]:
-    """Multigraph isomorphism: vertex bijection preserving all parallel-class
-    sizes, plus an edge bijection (lexicographic within each class).
+    """Multigraph isomorphism: the lexicographically least vertex bijection
+    preserving every parallel-class size, plus the edge bijection of
+    ``multigraph_edge_map``.  Decided by ``set_family_isomorphisms`` on the
+    marker encoding described in the module docstring.
     """
-    n = G.n_vertices
-    if n != H.n_vertices or G.n_edges != H.n_edges:
+    if G.n_vertices != H.n_vertices or G.n_edges != H.n_edges:
         return None
-    mult_g = {}
-    for (u, v), es in G.parallel_classes().items():
-        mult_g[(u, v)] = len(es)
-    mult_h = {}
-    for (u, v), es in H.parallel_classes().items():
-        mult_h[(u, v)] = len(es)
-    if sorted(mult_g.values()) != sorted(mult_h.values()):
+    classes_g, classes_h = G.parallel_classes(), H.parallel_classes()
+    mults = sorted({len(es) for es in classes_g.values()})
+    if mults != sorted({len(es) for es in classes_h.values()}):
         return None
+    k, n = len(mults), G.n_vertices
+    rank = {m: c for c, m in enumerate(mults)}
 
-    def profile(mult, n_):
-        degs = [sorted(m for (u, v), m in mult.items() if w in (u, v)) for w in range(n_)]
-        return degs
+    def family(classes):
+        return ([frozenset(range(c + 1)) for c in range(k)]
+                + [frozenset((rank[len(es)], k + u, k + v)) for (u, v), es in classes.items()])
 
-    prof_g = profile(mult_g, n)
-    prof_h = profile(mult_h, n)
-    if sorted(map(tuple, prof_g)) != sorted(map(tuple, prof_h)):
-        return None
+    for image in set_family_isomorphisms(k + n, family(classes_g), k + n, family(classes_h)):
+        bij = VertexBijection({G.labels[v]: H.labels[w - k] for v, w in enumerate(image[k:])})
+        return bij, multigraph_edge_map(G, H, bij)
+    return None
 
-    fwd: list[Optional[int]] = [None] * n
-    used = [False] * n
 
-    def search(v: int) -> Optional[list[int]]:
-        if v == n:
-            return list(fwd)  # type: ignore[arg-type]
-        for w in range(n):
-            if used[w] or prof_g[v] != prof_h[w]:
-                continue
-            ok = True
-            for u in range(v):
-                mu = mult_g.get(tuple(sorted((u, v))), 0)
-                mw = mult_h.get(tuple(sorted((fwd[u], w))), 0)
-                if mu != mw:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            fwd[v] = w
-            used[w] = True
-            got = search(v + 1)
-            if got is not None:
-                return got
-            fwd[v] = None
-            used[w] = False
-        return None
+def multigraph_edge_map(G: Multigraph, H: Multigraph, f: VertexBijection) -> dict[str, str]:
+    """The edge bijection G -> H over a vertex bijection f of multigraphs with
+    equal edge counts: each parallel class of G is matched, in edge id order,
+    with the class joining the images of its ends.
 
-    image = search(0)
-    if image is None:
-        return None
-    bij = VertexBijection({G.labels[v]: H.labels[w] for v, w in enumerate(image)})
+    Raises TheoremContradictionError when the two classes differ in size.
+    """
+    theirs = {(H.labels[a], H.labels[b]): es for (a, b), es in H.parallel_classes().items()}
     edge_map: dict[str, str] = {}
-    for (u, v), es in G.parallel_classes().items():
-        target = H.edges_between(bij(G.labels[u]), bij(G.labels[v]))
-        if len(target) != len(es):
+    for (a, b), mine in sorted(G.parallel_classes().items()):
+        u, v = G.labels[a], G.labels[b]
+        target = theirs.get(tuple(sorted((f(u), f(v)))), ())
+        if len(target) != len(mine):
             raise TheoremContradictionError(
-                f"parallel class sizes differ under the vertex map: {es} vs {target}")
-        edge_map.update(zip(es, target))
-    return bij, edge_map
+                f"parallel class sizes differ: |E({u},{v})| = {len(mine)} "
+                f"but |E({f(u)},{f(v)})| = {len(target)}")
+        edge_map.update(zip(mine, target))
+    return edge_map

@@ -23,10 +23,11 @@ from itertools import combinations
 from typing import NamedTuple, Optional, Union
 
 from .complexes import (Multigraph, SimplicialComplex, VertexBijection,
-                        is_boundary_simplex)
+                        is_boundary_simplex, union_find)
 from .errors import (HypothesisViolationError, InvalidIsomorphismError,
                      TheoremContradictionError)
-from .isomorphism import find_isomorphism, find_multigraph_isomorphism
+from .isomorphism import (find_isomorphism, find_multigraph_isomorphism,
+                          multigraph_edge_map)
 from .morse import Budget, MorseComplex, RegularPair, morse_complex
 
 
@@ -171,23 +172,11 @@ def quotient(K: SimplicialComplex) -> QuotientComplex:
     """Identify vertices that are non-adjacent and have equal links."""
     n = K.n_vertices
     links = [K.link([K.labels[v]]) for v in range(n)]
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for v in range(n):
-        for w in range(v + 1, n):
-            if (v, w) not in K.simplices and links[v] == links[w]:
-                a, b = find(v), find(w)
-                if a != b:
-                    parent[a] = b
+    roots = union_find(n, ((v, w) for v in range(n) for w in range(v + 1, n)
+                           if (v, w) not in K.simplices and links[v] == links[w]))
     groups: dict[int, list[int]] = {}
     for v in range(n):
-        groups.setdefault(find(v), []).append(v)
+        groups.setdefault(roots[v], []).append(v)
     classes = sorted(tuple(K.labels[v] for v in sorted(g)) for g in groups.values())
     # the relation is transitive for equal links; check the classes anyway
     for cls in classes:
@@ -528,16 +517,5 @@ def reconstruct_multigraph_iso(
     else:
         f = reconstruct_graph_iso(F_bar)
 
-    edge_map: dict[str, str] = {}
-    for u in G.labels:
-        for v in G.labels:
-            if u < v:
-                mine = G.edges_between(u, v)
-                theirs = H.edges_between(f(u), f(v))
-                if len(mine) != len(theirs):
-                    raise TheoremContradictionError(
-                        f"parallel class sizes differ: |E({u},{v})| = {len(mine)} "
-                        f"but |E({f(u)},{f(v)})| = {len(theirs)}")
-                edge_map.update(zip(mine, theirs))
-    return f, edge_map
+    return f, multigraph_edge_map(G, H, f)
 

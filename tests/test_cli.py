@@ -173,3 +173,17 @@ def test_unexpected_error_exits_5_without_traceback(tmp_path, capsys, monkeypatc
     assert code == 5
     assert out == ""
     assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
+
+
+def test_iso_of_long_paths_exits_0(tmp_path, capsys, shallow_stack):
+    # the search's depth is the vertex count, past the recursion limit here
+    n = 400
+    cx = write(tmp_path, "path.cx", "".join(f"v{i} v{i + 1}\n" for i in range(n - 1)))
+    mg = write(tmp_path, "path.mg",
+               "".join(f"edge e{i} v{i} v{i + 1}\n" for i in range(n - 1)))
+    for f, n_lines in ((cx, n), (mg, 2 * n - 1)):
+        code, out, err = run(capsys, "iso", f, f)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == n_lines
+        assert all(line.split()[-3] == line.split()[-1] for line in lines)

@@ -1,11 +1,17 @@
 """Isomorphism search tests."""
 
+import gc
 import random
+from itertools import combinations, permutations
 
-from morsecomplex import find_isomorphism, find_multigraph_isomorphism, Multigraph
+import pytest
+
+from morsecomplex import (find_isomorphism, find_multigraph_isomorphism, morse_complex,
+                          Multigraph, VertexBijection)
 from morsecomplex.corpus import (connected_complexes, cycle_graph, full_simplex,
                                  path_graph, permuted_copy, star_graph)
-from morsecomplex.isomorphism import all_isomorphisms
+from morsecomplex.errors import TheoremContradictionError
+from morsecomplex.isomorphism import all_isomorphisms, multigraph_edge_map
 
 
 def test_cycle_relabelled():
@@ -216,3 +222,109 @@ def test_refine_equals_signature_definition():
             assert got == _refine_by_definition(*args)
             n_rejected += got is None
     assert n_rejected
+
+
+# -- one engine, no recursion ---------------------------------------------------
+
+def _multigraph_path(n):
+    return Multigraph.from_edges([(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(n - 1)])
+
+
+def test_long_path_search_needs_no_recursion(shallow_stack):
+    P = path_graph(400)
+    Q, h = permuted_copy(P, random.Random(0))
+    bij = find_isomorphism(P, Q)
+    assert bij is not None and bij.is_simplicial_isomorphism(P, Q)
+
+
+def test_long_multigraph_path_search_needs_no_recursion(shallow_stack):
+    G = _multigraph_path(400)
+    got = find_multigraph_isomorphism(G, G)
+    assert got is not None
+    bij, emap = got
+    assert bij.forward == {lab: lab for lab in G.labels}
+    assert emap == {e: e for e in G.edge_ids}
+
+
+def test_positive_searches_leave_no_reference_cycles():
+    rng = random.Random(0)
+    pairs = []
+    for K in connected_complexes(4):
+        Kp, _ = permuted_copy(K, rng)
+        pairs.append((morse_complex(K), morse_complex(Kp)))
+    gc.collect()
+    gc.disable()
+    try:
+        for M, Mp in pairs:
+            assert find_isomorphism(M, Mp) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _relabelled_multigraph(G, rng):
+    labs = list(G.labels)
+    image = labs[:]
+    rng.shuffle(image)
+    vmap = dict(zip(labs, image))
+    ids = [f"f{i}" for i in range(G.n_edges)]
+    rng.shuffle(ids)
+    return Multigraph.from_edges(
+        [(f, vmap[G.labels[u]], vmap[G.labels[v]])
+         for f, (u, v) in zip(ids, G.boundary)], isolated=image)
+
+
+def _least_multiplicity_preserving(G, H):
+    """Brute force: the first permutation, in lexicographic order, keeping
+    every edge multiplicity, as a label map; None if there is none."""
+    def mult(X):
+        out = {}
+        for u, v in X.boundary:
+            out[(u, v)] = out.get((u, v), 0) + 1
+        return out
+
+    mg, mh = mult(G), mult(H)
+    if G.n_vertices != H.n_vertices or len(mg) != len(mh):
+        return None
+    for p in permutations(range(G.n_vertices)):
+        if all(mh.get(tuple(sorted((p[u], p[v]))), 0) == m for (u, v), m in mg.items()):
+            return {G.labels[v]: H.labels[w] for v, w in enumerate(p)}
+    return None
+
+
+def test_multigraph_isomorphism_equals_brute_force():
+    from morsecomplex.corpus import connected_multigraphs
+    small = connected_multigraphs(3, 3)
+    rng = random.Random(1)
+    cases = [(G, H) for G in small for H in small]
+    cases += [(G, _relabelled_multigraph(G, rng)) for G in connected_multigraphs(4, 3)]
+    disconnected = Multigraph.from_edges(
+        [("a", "u", "v"), ("b", "w", "x"), ("c", "w", "x"), ("d", "x", "y")])
+    isolated = Multigraph.from_edges(
+        [("a", "u", "v"), ("b", "u", "v"), ("c", "v", "w")], isolated=["z", "t"])
+    for G in (disconnected, isolated):
+        cases += [(G, _relabelled_multigraph(G, rng)) for _ in range(3)]
+    cases.append((disconnected, _multigraph_path(5)))
+    n_found = 0
+    for G, H in cases:
+        expected = _least_multiplicity_preserving(G, H)
+        got = find_multigraph_isomorphism(G, H)
+        if expected is None:
+            assert got is None
+            continue
+        n_found += 1
+        bij, emap = got
+        assert bij.forward == expected
+        zipped = {}
+        for u, v in combinations(G.labels, 2):
+            zipped.update(zip(G.edges_between(u, v), H.edges_between(bij(u), bij(v))))
+        assert emap == zipped
+    assert n_found > len(small)
+
+
+def test_edge_map_raises_on_unequal_classes():
+    G = Multigraph.from_edges([("a", "u", "v"), ("b", "u", "v"), ("c", "v", "w")])
+    swap = VertexBijection({"u": "u", "v": "w", "w": "v"})
+    with pytest.raises(TheoremContradictionError,
+                       match=r"\|E\(u,v\)\| = 2 but \|E\(u,w\)\| = 0"):
+        multigraph_edge_map(G, G, swap)
