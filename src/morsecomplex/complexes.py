@@ -44,6 +44,22 @@ def union_find(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     return [find(v) for v in range(n)]
 
 
+def gf2_rank(columns: Iterable[int]) -> int:
+    """Rank of a set of column bitmasks over GF(2)."""
+    pivots: dict[int, int] = {}
+    rank = 0
+    for col in columns:
+        while col:
+            lead = col.bit_length() - 1
+            if lead in pivots:
+                col ^= pivots[lead]
+            else:
+                pivots[lead] = col
+                rank += 1
+                break
+    return rank
+
+
 class SimplicialComplex:
     """Immutable finite abstract simplicial complex.
 

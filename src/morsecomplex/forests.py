@@ -99,20 +99,25 @@ def directed_forest_complex(D: DirectedGraph) -> SimplicialComplex:
                 return True
         return x == tail
 
-    def rec(start: int, chosen: list[int]):
-        if chosen:
-            faces.append(tuple(D.arc_names[i] for i in chosen))
-        for i in range(start, m):
-            t, h = D.arcs[i]
-            if t in succ or closes_cycle(t, h):
-                continue
-            succ[t] = h
-            chosen.append(i)
-            rec(i + 1, chosen)
-            chosen.pop()
-            del succ[t]
-
-    rec(0, [])
+    # depth-first over arc subsets in increasing order, on an explicit stack:
+    # chosen[d] is the arc added at depth d, resume[d] the next arc to try
+    chosen: list[int] = []
+    resume = [0]
+    while resume:
+        i = resume[-1]
+        while i < m and (D.arcs[i][0] in succ or closes_cycle(*D.arcs[i])):
+            i += 1
+        if i == m:
+            resume.pop()
+            if chosen:
+                del succ[D.arcs[chosen.pop()][0]]
+            continue
+        resume[-1] = i + 1
+        t, h = D.arcs[i]
+        succ[t] = h
+        chosen.append(i)
+        faces.append(tuple(D.arc_names[c] for c in chosen))
+        resume.append(i + 1)
     if not faces:
         return SimplicialComplex((), frozenset())
     return SimplicialComplex.closure(faces)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import SimplicialComplex, immediate_faces
+from .complexes import SimplicialComplex, gf2_rank, immediate_faces
 from .errors import MalformedInputError, TheoremContradictionError
 
 
@@ -21,22 +21,6 @@ class InvariantReport:
     components: int
     betti_mod2: tuple[int, ...]
     collapsible: bool
-
-
-def _gf2_rank(columns: list[int]) -> int:
-    """Rank of a set of column bitmasks over GF(2)."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for col in columns:
-        while col:
-            lead = col.bit_length() - 1
-            if lead in pivots:
-                col ^= pivots[lead]
-            else:
-                pivots[lead] = col
-                rank += 1
-                break
-    return rank
 
 
 def betti_mod2(K: SimplicialComplex) -> tuple[int, ...]:
@@ -59,7 +43,7 @@ def betti_mod2(K: SimplicialComplex) -> tuple[int, ...]:
             for f in immediate_faces(s):
                 mask |= 1 << pos[k - 1][f]
             cols.append(mask)
-        ranks[k] = _gf2_rank(cols)
+        ranks[k] = gf2_rank(cols)
 
     betti = []
     for k in range(dim + 1):

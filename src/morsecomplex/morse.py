@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, NamedTuple, Optional, Union
 
-from .complexes import Multigraph, SimplicialComplex, immediate_faces
+from .complexes import Multigraph, SimplicialComplex, gf2_rank, immediate_faces
 from .errors import (EnumerationBudgetError, MalformedInputError,
                      TheoremContradictionError)
 from .isomorphism import twin_classes
@@ -105,6 +105,12 @@ class HasseDiagram:
     @property
     def n_covers(self) -> int:
         return len(self.covers)
+
+    def boundary_rank(self) -> int:
+        """Rank over GF(2) of the boundary matrix, summed over dimensions:
+        one column per cell, with one bit per cell it covers.  The blocks of
+        the dimensions are disjoint, so one elimination gives the sum."""
+        return gf2_rank(sum(1 << c for c in cs) for cs in self.children.values())
 
 
 def hasse(obj: Source) -> HasseDiagram:
@@ -767,46 +773,56 @@ class MorseComplex:
     def dimension(self, budget: Optional[Budget] = None) -> int:
         """dim M(K) = size of a maximum acyclic matching minus one.
 
-        Branch and bound over covers; the bound counts distinct source cells
-        still available in the remaining suffix.  It is not read off the
-        layered facet DP yet: that pays for the full layer enumeration
-        before anything else (about 1 s on K7, where this search takes
-        0.2 s), while this search is exponential instead on complexes with
-        many layers, such as the boundary of the 4-simplex.
+        Branch and bound over covers in order, on an explicit stack; the
+        bound counts the distinct source cells still free in the remaining
+        suffix.  No acyclic matching has more pairs than r, the rank over
+        GF(2) of the boundary matrix (the weak Morse inequalities; Forman,
+        Adv. Math. 1998): ordered along its gradient, a matching's pairs pick
+        out a square submatrix of the boundary matrix that is triangular with
+        ones on the diagonal.  So the search stops as soon as the best
+        matching it has built has r pairs, as Joswig & Pfetsch (SIAM J.
+        Discrete Math. 2006) end theirs; where none reaches r it stays
+        exhaustive.  Either way the value returned is the size of a matching
+        the search built and checked, less one.
         """
         n = self.n_pairs
         if n == 0:
             return -1
         budget = budget or self.budget
         deadline = budget.deadline()
+        rank = self.hasse.boundary_rank()
         covers = self.hasse.covers
-        suffix_sources = [set() for _ in range(n + 1)]
-        for i in range(n - 1, -1, -1):
-            suffix_sources[i] = suffix_sources[i + 1] | {covers[i][0]}
+        conflict = self._conflict
+        creates_cycle = self._creates_cycle
+        suffix = [0] * (n + 1)  # source cells of the covers j..n-1
+        for j in range(n - 1, -1, -1):
+            suffix[j] = suffix[j + 1] | 1 << covers[j][0]
         best = 0
-        steps = 0
-
-        def rec(i: int, mask: int, size: int, used_sources: frozenset):
-            nonlocal best, steps
+        steps = 1
+        # one frame per chosen prefix: next cover to try, pair mask, source cells
+        stack = [[0, 0, 0]]
+        while stack:
+            frame = stack[-1]
+            j, mask, used = frame
+            size = len(stack) - 1
+            # the suffix bound never grows with j: once it fails, no later
+            # cover extends this prefix to beat best
+            while j < n and size + (suffix[j] & ~used).bit_count() > best:
+                if not (conflict[j] & mask or creates_cycle(j, mask)):
+                    break
+                j += 1
+            else:
+                stack.pop()
+                continue
+            frame[0] = j + 1
             steps += 1
             if steps % 4096 == 0:
                 _check_deadline(deadline, "computing the Morse complex dimension")
-            if size > best:
-                best = size
-            if i == n:
-                return
-            bound = size + len(suffix_sources[i] - used_sources)
-            if bound <= best:
-                return
-            for j in range(i, n):
-                if self._conflict[j] & mask or self._creates_cycle(j, mask):
-                    continue
-                if size + len(suffix_sources[j] - used_sources) <= best:
+            if size + 1 > best:
+                best = size + 1
+                if best == rank:
                     break
-                rec(j + 1, mask | (1 << j), size + 1,
-                    used_sources | {covers[j][0]})
-
-        rec(0, 0, 0, frozenset())
+            stack.append([j + 1, mask | 1 << j, used | 1 << covers[j][0]])
         return best - 1
 
     def __repr__(self):

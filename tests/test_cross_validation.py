@@ -8,8 +8,8 @@ larger than the power-set oracle can reach.
 
 from itertools import combinations
 
-from morsecomplex import (Budget, Multigraph, compatible, is_acyclic,
-                          is_matching, morse_complex)
+from morsecomplex import (Budget, HasseDiagram, Multigraph, compatible,
+                          is_acyclic, is_matching, morse_complex)
 from morsecomplex.corpus import (connected_complexes, connected_graphs,
                                  connected_multigraphs, full_simplex)
 
@@ -146,17 +146,22 @@ def test_compatibility_adjacency_matches_standalone_predicate():
         assert not any((adj[i] >> i) & 1 for i in range(M.n_pairs))
 
 
+def check_dimension_against_max_facet():
+    for obj in connected_complexes(4) + connected_multigraphs(3, 3):
+        M = morse_complex(obj, BIG)
+        facets = M.facets(BIG)
+        expected = max((len(f) for f in facets), default=0) - 1
+        assert M.dimension(BIG) == expected
+
+
 def test_dimension_matches_max_facet():
-    for K in connected_complexes(4):
-        M = morse_complex(K, BIG)
-        facets = M.facets(BIG)
-        expected = max((len(f) for f in facets), default=0) - 1
-        assert M.dimension(BIG) == expected
-    for G in connected_multigraphs(3, 3):
-        M = morse_complex(G, BIG)
-        facets = M.facets(BIG)
-        expected = max((len(f) for f in facets), default=0) - 1
-        assert M.dimension(BIG) == expected
+    check_dimension_against_max_facet()
+
+
+def test_exhaustive_dimension_matches_max_facet(monkeypatch):
+    # a rank no matching reaches switches the early stop off
+    monkeypatch.setattr(HasseDiagram, "boundary_rank", lambda self: self.n_covers + 1)
+    check_dimension_against_max_facet()
 
 
 def test_disconnected_sources_work():

@@ -1,5 +1,7 @@
 """Directed forest complexes and the identity with graph Morse complexes."""
 
+import hashlib
+
 from morsecomplex import morse_complex
 from morsecomplex.corpus import (complete_graph, connected_graphs, cycle_graph,
                                  path_graph, star_graph)
@@ -59,3 +61,12 @@ def test_identity_on_assorted_graphs():
 
 def test_arrow_name():
     assert arrow_name("u", "v") == "u>v"
+
+
+def test_forest_complexes_of_doubles_pinned():
+    h = hashlib.sha256()
+    for G in connected_graphs(5):
+        F = directed_forest_complex(double(G))
+        h.update(repr((F.labels, sorted(F.simplices))).encode())
+    assert h.hexdigest() == (
+        "e59eff50615ab2c2287e0051aa263b3ec5f0b17ea82624524453bd785370e514")

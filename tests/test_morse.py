@@ -5,13 +5,14 @@ from itertools import combinations
 import pytest
 
 from morsecomplex import (Budget, Multigraph, RegularPair, adjacent_cycles,
-                          compatible, critical_cells, gradient_cycles, hasse,
-                          is_acyclic, is_matching, minimal_gradient_cycles,
-                          morse_complex, primitive_pairs)
+                          betti_mod2, compatible, critical_cells, gradient_cycles,
+                          greedy_collapse, hasse, is_acyclic, is_matching,
+                          minimal_gradient_cycles, morse_complex, primitive_pairs)
+from morsecomplex.complexes import union_find
 from morsecomplex.corpus import (boundary_simplex, complete_graph,
                                  connected_complexes, connected_graphs,
                                  connected_multigraphs, cycle_graph,
-                                 full_simplex, path_graph)
+                                 full_simplex, path_graph, star_graph)
 from morsecomplex.errors import EnumerationBudgetError, MalformedInputError
 from morsecomplex.verify import brute_force_morse_facets
 
@@ -123,6 +124,44 @@ def test_morse_complex_of_triangle():
 def test_graph_morse_dimension():
     for G in connected_graphs(5):
         assert morse_complex(G).dimension() == G.n_vertices - 2
+
+
+ONE_SECOND = Budget(max_seconds=1)
+
+
+def test_dimension_closed_forms_within_one_second():
+    # a maximum acyclic matching leaves b_0 + b_1 + ... critical cells
+    cases = [(complete_graph(n), n - 2) for n in (5, 6, 7)]
+    cases += [(cycle_graph(12), 10), (star_graph(12), 11),
+              (boundary_simplex("abcd"), 5), (full_simplex("abcd"), 6),
+              (boundary_simplex("abcde"), 13), (full_simplex("abcde"), 14)]
+    for K, expected in cases:
+        assert morse_complex(K).dimension(ONE_SECOND) == expected
+
+
+def test_dimension_of_collapsible_complexes():
+    # homology-free oracle: a collapse sequence down to a vertex is a perfect
+    # acyclic matching on all cells but one
+    collapsible = [K for K in connected_complexes(5) if greedy_collapse(K) is not None]
+    assert len(collapsible) == 42
+    for K in collapsible:
+        cells = len(K.simplices)
+        assert morse_complex(K).dimension(ONE_SECOND) == (cells - 1) // 2 - 1
+
+
+def test_long_path_dimension_needs_no_recursion(shallow_stack):
+    assert morse_complex(path_graph(1200)).dimension(ONE_SECOND) == 1198
+
+
+def test_boundary_rank_equals_betti_route():
+    for K in connected_complexes(5):
+        assert 2 * hasse(K).boundary_rank() == len(K.simplices) - sum(betti_mod2(K))
+    graphs = list(connected_multigraphs(4, 3))
+    graphs.append(Multigraph.from_edges([("e1", "u", "v"), ("e2", "u", "v"),
+                                         ("e3", "x", "y")], isolated=["z"]))
+    for G in graphs:
+        components = len(set(union_find(G.n_vertices, G.boundary)))
+        assert hasse(G).boundary_rank() == G.n_vertices - components
 
 
 def test_oracle_equivalence_complexes():
