@@ -23,8 +23,10 @@ refined colour classes, so searches that never backtrack pay nothing; the
 skipped subtrees yield nothing, so the bijections found, their order and the
 lexicographically least witness are exactly those of the unpruned search.
 The search runs on an explicit stack, so its depth (the vertex count) is not
-bounded by the interpreter's recursion limit.  Intended for desk-scale
-inputs, exact always.
+bounded by the interpreter's recursion limit, and under a ``Budget``
+deadline: Morse complexes carry their own budgets and a search between two
+of them runs under the tighter; anything else gets the default.  Intended for
+desk-scale inputs, exact always.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from typing import Iterable, Iterator, Optional
 
 from .complexes import Multigraph, SimplicialComplex, VertexBijection
 from .errors import TheoremContradictionError
+from .morse import DEFAULT_BUDGET, Budget, MorseComplex, _check_deadline
 
 
 def _iso_structure(obj) -> tuple[tuple[str, ...], list[frozenset[int]]]:
@@ -130,11 +133,15 @@ def twin_classes(n: int, family: Iterable[frozenset[int]],
 
 
 def set_family_isomorphisms(n_a: int, fams_a: list[frozenset[int]],
-                            n_b: int, fams_b: list[frozenset[int]]) -> Iterator[tuple[int, ...]]:
+                            n_b: int, fams_b: list[frozenset[int]], *,
+                            budget: Budget = DEFAULT_BUDGET) -> Iterator[tuple[int, ...]]:
     """Yield every bijection (as a tuple image) mapping fams_a onto fams_b.
 
-    Bijections appear in lexicographic order of their image tuples.
+    Bijections appear in lexicographic order of their image tuples.  The
+    search raises EnumerationBudgetError once it runs past the budget's
+    deadline, counted from its start.
     """
+    deadline = budget.deadline()
     if n_a != n_b:
         return
     if sorted(map(len, fams_a)) != sorted(map(len, fams_b)):
@@ -217,8 +224,12 @@ def set_family_isomorphisms(n_a: int, fams_a: list[frozenset[int]],
     mark = [0] * n_a
     dead: list[set[int]] = [set() for _ in range(n_a)]
     yields = 0
+    nodes = 0
     v = 0
     while v >= 0:
+        nodes += 1
+        if nodes % 4096 == 0:
+            _check_deadline(deadline, f"searching isomorphisms (depth {v} of {n_a})")
         if v == n_a:
             image = tuple(fwd)  # type: ignore[arg-type]
             if verify(image):
@@ -256,6 +267,12 @@ def set_family_isomorphisms(n_a: int, fams_a: list[frozenset[int]],
             dead[v].clear()
 
 
+def _search_budget(K, L) -> Budget:
+    """The tighter budget of K and L where they are Morse complexes, else the default."""
+    budgets = [X.budget for X in (K, L) if isinstance(X, MorseComplex)]
+    return min(budgets, key=lambda b: b.max_seconds, default=DEFAULT_BUDGET)
+
+
 def _certificate(labels, fams):
     return labels, tuple(sorted(tuple(sorted(s)) for s in fams))
 
@@ -267,14 +284,17 @@ def find_isomorphism(K, L) -> Optional[VertexBijection]:
     exposing ``iso_structure()``.  The search runs from the side with the
     smaller structure certificate and returns the lexicographically least
     witness there; the swapped call returns exactly the inverse map, so the
-    two directions always agree.
+    two directions always agree.  Raises EnumerationBudgetError when the
+    search outlasts the tighter budget of two Morse complexes (the default
+    budget for other objects).
     """
     labels_a, fams_a = _iso_structure(K)
     labels_b, fams_b = _iso_structure(L)
     if _certificate(labels_b, fams_b) < _certificate(labels_a, fams_a):
         got = find_isomorphism(L, K)
         return None if got is None else got.inverse()
-    for image in set_family_isomorphisms(len(labels_a), fams_a, len(labels_b), fams_b):
+    for image in set_family_isomorphisms(len(labels_a), fams_a, len(labels_b), fams_b,
+                                         budget=_search_budget(K, L)):
         return VertexBijection({labels_a[v]: labels_b[w] for v, w in enumerate(image)})
     return None
 
@@ -284,7 +304,8 @@ def all_isomorphisms(K, L, limit: Optional[int] = None) -> list[VertexBijection]
     labels_a, fams_a = _iso_structure(K)
     labels_b, fams_b = _iso_structure(L)
     out = []
-    for image in set_family_isomorphisms(len(labels_a), fams_a, len(labels_b), fams_b):
+    for image in set_family_isomorphisms(len(labels_a), fams_a, len(labels_b), fams_b,
+                                         budget=_search_budget(K, L)):
         out.append(VertexBijection({labels_a[v]: labels_b[w] for v, w in enumerate(image)}))
         if limit is not None and len(out) >= limit:
             break

@@ -32,7 +32,6 @@ from typing import Iterable, NamedTuple, Optional, Union
 from .complexes import Multigraph, SimplicialComplex, gf2_rank, immediate_faces
 from .errors import (EnumerationBudgetError, MalformedInputError,
                      TheoremContradictionError)
-from .isomorphism import twin_classes
 
 Source = Union[SimplicialComplex, Multigraph]
 
@@ -475,33 +474,38 @@ class MorseComplex:
 
         Two pairs are related when they are non-adjacent in M(K) and have
         equal links, which holds iff the transposition swapping them maps the
-        minimal non-faces onto themselves.  So the classes are the twin
-        classes of the minimal non-faces whose members are pairwise
-        non-adjacent (within a twin class adjacency is uniform); every pair
-        of each class is re-checked in that non-face form.  Only this map is
-        cached, not non-faces computed for it.
+        minimal non-faces onto themselves.  With R(i) = {S - i : S a minimal
+        non-face containing i}, that is: {r, i} is a non-face and
+        {T in R(r) : i not in T} = {T in R(i) : r not in T}.  Since {r, i} is
+        a minimal non-face, the only residue of r containing i is {i}, so the
+        condition reads R(r) - {{i}} = R(i) - {{r}}, i.e. R(r) + {{r}} equals
+        R(i) + {{i}}; conversely equal keys put {r} in R(i).  So one pass
+        buckets every pair by the key R(i) + {{i}}, and the first (least) pair
+        of a bucket represents it.
+
+        Each pair is re-checked against its representative r in the literal
+        transposition form above.  That covers every pair of the class:
+        (a b) = (r a)(r b)(r a), and (r a) carries the non-face {r, b} to
+        {a, b}.  Only this map is cached, not non-faces computed for it.
         """
         if self._quotient is None:
+            n = self.n_pairs
             nonfaces = self._nonfaces if self._nonfaces is not None else self._find_nonfaces()
-            twin = twin_classes(self.n_pairs, nonfaces)
-            nf_set = set(nonfaces)
-            rep = [r if frozenset((r, i)) in nf_set else i for i, r in enumerate(twin)]
-            members: dict[int, list[int]] = {}
-            for i, r in enumerate(rep):
-                members.setdefault(r, []).append(i)
-            containing: list[list[frozenset[int]]] = [[] for _ in range(self.n_pairs)]
+            residues: list[set[frozenset[int]]] = [set() for _ in range(n)]
             for S in nonfaces:
                 for i in S:
-                    containing[i].append(S)
-            for cls in members.values():
-                for a, b in combinations(cls, 2):
-                    swap = {a: b, b: a}
-                    if frozenset((a, b)) not in nf_set or any(
-                            frozenset(swap.get(i, i) for i in S) not in nf_set
-                            for S in containing[a] + containing[b]):
-                        raise TheoremContradictionError(
-                            f"pairs {self.pairs[a]} and {self.pairs[b]} share a quotient "
-                            "class but are adjacent or have different links")
+                    residues[i].add(S - {i})
+            first: dict[frozenset[frozenset[int]], int] = {}
+            rep = []
+            for i in range(n):
+                r = first.setdefault(frozenset(residues[i] | {frozenset((i,))}), i)
+                if r != i and (frozenset((i,)) not in residues[r]
+                               or {T for T in residues[r] if i not in T}
+                               != {T for T in residues[i] if r not in T}):
+                    raise TheoremContradictionError(
+                        f"pairs {self.pairs[r]} and {self.pairs[i]} share a quotient "
+                        "class but are adjacent or have different links")
+                rep.append(r)
             self._quotient = rep
         return self._quotient
 

@@ -1,8 +1,11 @@
 """Command-line behaviour: outputs, determinism and the exit-code contract."""
 
+import random
+
 import pytest
 
 from morsecomplex.cli import main
+from morsecomplex.corpus import path_graph, permuted_copy
 
 
 def write(tmp_path, name, text):
@@ -42,6 +45,17 @@ def test_build_budget_exit(tmp_path, capsys):
                          "--budget-facets", "1000000")
     assert code == 2
     assert "budget" in err
+
+
+def test_reconstruct_search_budget_exit(tmp_path, capsys):
+    # a relabelled path whose isomorphism search runs for well over 10 s
+    P = path_graph(140)
+    Q, _ = permuted_copy(P, random.Random(0))
+    files = [write(tmp_path, name, "".join(" ".join(K.to_labels(f)) + "\n" for f in K.facets()))
+             for name, K in (("p.cx", P), ("q.cx", Q))]
+    code, out, err = run(capsys, "reconstruct", *files, "--budget-seconds", "0.5")
+    assert (code, out) == (2, "")
+    assert err.startswith("budget exceeded: ") and len(err.splitlines()) == 1
 
 
 def test_budget_seconds_env_var(tmp_path, capsys, monkeypatch):

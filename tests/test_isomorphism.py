@@ -2,15 +2,16 @@
 
 import gc
 import random
+import time
 from itertools import combinations, permutations
 
 import pytest
 
-from morsecomplex import (find_isomorphism, find_multigraph_isomorphism, morse_complex,
-                          Multigraph, VertexBijection)
+from morsecomplex import (Budget, find_isomorphism, find_multigraph_isomorphism,
+                          morse_complex, Multigraph, VertexBijection)
 from morsecomplex.corpus import (connected_complexes, cycle_graph, full_simplex,
                                  path_graph, permuted_copy, star_graph)
-from morsecomplex.errors import TheoremContradictionError
+from morsecomplex.errors import EnumerationBudgetError, TheoremContradictionError
 from morsecomplex.isomorphism import all_isomorphisms, multigraph_edge_map
 
 
@@ -244,6 +245,20 @@ def test_long_multigraph_path_search_needs_no_recursion(shallow_stack):
     bij, emap = got
     assert bij.forward == {lab: lab for lab in G.labels}
     assert emap == {e: e for e in G.edge_ids}
+
+
+def test_search_stops_at_the_tighter_budget():
+    # a relabelled path's only symmetry is the reflection; this one's search
+    # backtracks for well over 10 s without a deadline
+    P = path_graph(140)
+    Q, _ = permuted_copy(P, random.Random(0))
+    M_P, M_Q = morse_complex(P), morse_complex(Q, Budget(max_seconds=0.5))
+    for A, B in ((M_P, M_Q), (M_Q, M_P)):
+        start = time.monotonic()
+        with pytest.raises(EnumerationBudgetError,
+                           match=r"searching isomorphisms \(depth \d+ of 278\)"):
+            find_isomorphism(A, B)
+        assert time.monotonic() - start < 2
 
 
 def test_positive_searches_leave_no_reference_cycles():

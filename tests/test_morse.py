@@ -365,3 +365,28 @@ def test_pair_arcs_equal_quadratic_definition():
         pairs = primitive_pairs(X)
         for order in (pairs, pairs[::-1]):
             assert _pair_arcs(order, G) == pair_arcs_by_definition(order, G)
+
+
+def test_morse_does_not_import_isomorphism():
+    # the isomorphism search reads its deadline from morse's Budget, so morse
+    # must not import isomorphism back; the package is stubbed so that its
+    # __init__, which imports every module, stays out of the way
+    import os
+    import subprocess
+    import sys
+
+    import morsecomplex
+    script = (
+        "import importlib.util, sys, types\n"
+        "pkg = types.ModuleType('morsecomplex')\n"
+        "pkg.__path__ = list(importlib.util.find_spec('morsecomplex')"
+        ".submodule_search_locations)\n"
+        "sys.modules['morsecomplex'] = pkg\n"
+        "import morsecomplex.morse\n"
+        "print('morsecomplex.isomorphism' in sys.modules)\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(morsecomplex.__file__)))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

@@ -20,7 +20,7 @@ from morsecomplex.corpus import (boundary_simplex, connected_complexes,
 from morsecomplex.errors import (HypothesisViolationError,
                                  InvalidIsomorphismError,
                                  TheoremContradictionError)
-from morsecomplex.isomorphism import all_isomorphisms
+from morsecomplex.isomorphism import all_isomorphisms, multigraph_edge_map
 
 
 # -- MorseIso ---------------------------------------------------------------
@@ -450,6 +450,66 @@ def test_morse_quotient_on_nonfaces_matches_explicit_quotient():
         assert tuple(sorted(tuple(g) for g in groups.values())) == expected
 
 
+def _relabelled_multigraph(G, rng):
+    """G under a random vertex relabelling, with renamed, reordered edges."""
+    labs = list(G.labels)
+    image = labs[:]
+    rng.shuffle(image)
+    vmap = dict(zip(labs, image))
+    triples = [(f"f{e}", vmap[G.labels[u]], vmap[G.labels[v]])
+               for e, (u, v) in zip(G.edge_ids, G.boundary)]
+    rng.shuffle(triples)
+    return Multigraph.from_edges(triples)
+
+
+def _twin_route_quotient_map(M):
+    # the quotient map read off twin classes: the twin classes of the minimal
+    # non-faces, each pair kept apart from a twin adjacent to it
+    from morsecomplex.isomorphism import twin_classes
+    nonfaces = M.minimal_nonfaces()
+    twin = twin_classes(M.n_pairs, nonfaces)
+    nf_set = set(nonfaces)
+    return [r if frozenset((r, i)) in nf_set else i for i, r in enumerate(twin)]
+
+
+def test_quotient_map_equals_the_twin_route():
+    from morsecomplex.corpus import connected_multigraphs
+    rng = random.Random(5)
+    multigraphs = list(connected_multigraphs(4, 3))
+    complexes = list(connected_complexes(5))
+    relabelled = ([_relabelled_multigraph(G, rng) for G in multigraphs]
+                  + [permuted_copy(K, rng)[0] for K in complexes])
+    n_merged = 0
+    for X in multigraphs + complexes + relabelled:
+        M = morse_complex(X)
+        rep = M.quotient_map()
+        assert rep == _twin_route_quotient_map(M)
+        n_merged += sum(r != i for i, r in enumerate(rep))
+    assert n_merged
+
+
+def test_quotient_of_a_large_parallel_bundle():
+    # 80 parallel u-v edges and one v-w edge: the pairs at u on the bundle,
+    # those at v on the bundle, and one class per pair on v-w
+    bundle = [f"e{k:02d}" for k in range(80)]
+    G = Multigraph.from_edges([(e, "u", "v") for e in bundle] + [("f", "v", "w")])
+    M = morse_complex(G)
+    classes: dict[int, set] = {}
+    for i, r in enumerate(M.quotient_map()):
+        classes.setdefault(r, set()).add(M.pairs[i])
+    assert sorted(map(frozenset, classes.values()), key=sorted) == sorted([
+        frozenset(RegularPair(("u",), (e,), 0) for e in bundle),
+        frozenset(RegularPair(("v",), (e,), 0) for e in bundle),
+        frozenset({RegularPair(("v",), ("f",), 0)}),
+        frozenset({RegularPair(("w",), ("f",), 0)})], key=sorted)
+    H = _relabelled_multigraph(G, random.Random(0))
+    F = find_morse_isomorphism(M, morse_complex(H))
+    f, emap = reconstruct_multigraph_iso(F)
+    assert emap == multigraph_edge_map(G, H, f)
+    for u, v in combinations(G.labels, 2):
+        assert G.multiplicity(u, v) == H.multiplicity(f(u), f(v))
+
+
 def test_reconstruct_most_symmetric_relabelled_multigraphs():
     # the members with the most edges have the largest parallel classes, whose
     # interchangeable pairs made the unpruned search take seconds per member
@@ -457,14 +517,7 @@ def test_reconstruct_most_symmetric_relabelled_multigraphs():
     rng = random.Random(31)
     corpus = sorted(connected_multigraphs(4, 3), key=lambda G: -G.n_edges)[:10]
     for G in corpus:
-        labs = list(G.labels)
-        image = labs[:]
-        rng.shuffle(image)
-        vmap = dict(zip(labs, image))
-        triples = [(f"f{e}", vmap[G.labels[u]], vmap[G.labels[v]])
-                   for e, (u, v) in zip(G.edge_ids, G.boundary)]
-        rng.shuffle(triples)
-        H = Multigraph.from_edges(triples)
+        H = _relabelled_multigraph(G, rng)
         F = find_morse_isomorphism(morse_complex(G), morse_complex(H))
         assert F is not None
         f, emap = reconstruct_multigraph_iso(F)
