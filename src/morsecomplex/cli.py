@@ -1,15 +1,16 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 negative verdict (no isomorphism / failed check),
-2 enumeration budget exceeded, 3 theorem hypothesis violated, 4 bad input,
-5 internal contradiction or any other error (RecursionError, MemoryError,
-...), reported as one stderr line.  Output is deterministic for fixed
-inputs, flags and seed.
+2 enumeration budget exceeded, 3 theorem hypothesis violated, 4 bad input
+(usage errors included), 5 internal contradiction or any other error
+(RecursionError, MemoryError, ...), reported as one stderr line.  Output is
+deterministic for fixed inputs, flags and seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -34,10 +35,30 @@ EXIT_INPUT = 4
 EXIT_CONTRADICTION = 5
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are bad input (exit 4): argparse's own exit 2 would read
+    as "budget exceeded"."""
+
+    def error(self, message):
+        raise MalformedInputError(message)
+
+
+def _seconds(text: str) -> float:
+    """A time budget in seconds.  NaN is refused: no time compares greater
+    than it, so it would switch every deadline off."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = math.nan
+    if math.isnan(seconds):
+        raise MalformedInputError(f"time budget is not a number of seconds: {text!r}")
+    return seconds
+
+
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--budget-facets", type=int, default=Budget.max_facets,
                    help="facet budget for Morse enumerations (default %(default)s)")
-    p.add_argument("--budget-seconds", type=float, default=None,
+    p.add_argument("--budget-seconds", type=_seconds, default=None,
                    help="time budget per enumeration in seconds "
                         "(default 60, or MORSE_BUDGET_SECONDS)")
     p.add_argument("--seed", type=int, default=0,
@@ -49,13 +70,17 @@ def _common_flags(p: argparse.ArgumentParser):
 def _budget(args) -> Budget:
     seconds = args.budget_seconds
     if seconds is None:
-        seconds = float(os.environ.get("MORSE_BUDGET_SECONDS", Budget.max_seconds))
+        seconds = _seconds(os.environ.get("MORSE_BUDGET_SECONDS", str(Budget.max_seconds)))
     return Budget(max_facets=args.budget_facets, max_seconds=seconds)
 
 
 def _load(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return sniff_and_parse(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise MalformedInputError(f"{path} is not UTF-8 text: {e}") from None
+    return sniff_and_parse(text)
 
 
 def _guard_size(obj, args):
@@ -188,7 +213,7 @@ def cmd_kozlov(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="morsecx",
         description="Discrete Morse complexes of complexes and multigraphs, "
                     "and reconstruction of the underlying object from them.")
@@ -237,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except EnumerationBudgetError as e:
         print(f"budget exceeded: {e}", file=sys.stderr)

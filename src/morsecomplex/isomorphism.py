@@ -14,27 +14,33 @@ of its ends are assigned.
 
 The search assigns vertices in canonical label order and tries candidates in
 ascending order, so the first witness found is the lexicographically least
-one; iterated partition refinement over incidence profiles does the pruning.
-Twin pruning removes the rest of the waste on symmetric families: two
-vertices are twins when swapping them maps the family onto itself, so once a
-candidate's subtree dies, its unassigned twins would die too and are skipped.
-Twins are computed lazily, at a search's first dead end and only within
-refined colour classes, so searches that never backtrack pay nothing; the
-skipped subtrees yield nothing, so the bijections found, their order and the
-lexicographically least witness are exactly those of the unpruned search.
+one.  Iterated partition refinement over incidence profiles colours both
+sides first.  Then each vertex of A keeps a domain: a bitmask of the vertices
+of B it may still map to, which starts as its colour class (Ullmann's
+bit-vector domains, J. Exp. Algorithmics 15, 2010).  Assigning v -> w removes
+w from every later domain and intersects it with the 2-set neighbourhood of w
+where the later vertex is a 2-set neighbour of v, else with its complement.
+A domain left with one vertex forces it and filters the others the same way;
+an emptied domain rejects w.  Each set of A is checked when its largest
+vertex is assigned; the families have equal size, so a bijection passing
+every check maps one onto the other.  Domains only cut subtrees that yield
+nothing, so the bijections found, their order and the lexicographically
+least witness are exactly those of the plain backtracking search.
 The search runs on an explicit stack, so its depth (the vertex count) is not
 bounded by the interpreter's recursion limit, and under a ``Budget``
-deadline: Morse complexes carry their own budgets and a search between two
-of them runs under the tighter; anything else gets the default.  Intended for
-desk-scale inputs, exact always.
+deadline, checked once per refinement round and at every search node: Morse
+complexes carry their own budgets and a search between two of them runs
+under the tighter; anything else gets the default.  Intended for desk-scale
+inputs, exact always.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Iterable, Iterator, Optional
 
 from .complexes import Multigraph, SimplicialComplex, VertexBijection
-from .errors import TheoremContradictionError
+from .errors import EnumerationBudgetError, TheoremContradictionError
 from .morse import DEFAULT_BUDGET, Budget, MorseComplex, _check_deadline
 
 
@@ -77,13 +83,17 @@ def _signatures(cols: list[int], inc: list[list[frozenset[int]]]) -> list[tuple]
 
 
 def _refine(n_a: int, inc_a: list[list[frozenset[int]]],
-            n_b: int, inc_b: list[list[frozenset[int]]]) -> Optional[tuple[list[int], list[int]]]:
+            n_b: int, inc_b: list[list[frozenset[int]]],
+            deadline: float) -> Optional[tuple[list[int], list[int]]]:
     """Joint iterated refinement on incidence lists; None if the colour
-    histograms ever disagree."""
+    histograms ever disagree.  Checks the deadline once per round."""
     col_a = [0] * n_a
     col_b = [0] * n_b
     n_classes = 1
+    rounds = 0
     while True:
+        rounds += 1
+        _check_deadline(deadline, f"searching isomorphisms (refinement round {rounds})")
         table: dict = {}
         sig_a = _signatures(col_a, inc_a)
         sig_b = _signatures(col_b, inc_b)
@@ -100,36 +110,6 @@ def _refine(n_a: int, inc_a: list[list[frozenset[int]]],
         if new_classes == n_classes:
             return col_a, col_b
         n_classes = new_classes
-
-
-def twin_classes(n: int, family: Iterable[frozenset[int]],
-                 colours: Optional[list[int]] = None) -> list[int]:
-    """Per vertex, the least vertex of its twin class.
-
-    Vertices w, w' are twins when the transposition (w w') maps the family
-    onto itself, i.e. {S - w : w in S, w' not in S} equals
-    {S - w' : w' in S, w not in S}.  Twinship is an equivalence relation
-    (conjugating one transposition by another gives the third), so comparing
-    each vertex with one representative per class suffices.  Automorphisms
-    preserve refined colours, so only vertices of equal colour are compared.
-    """
-    residues: list[set[frozenset[int]]] = [set() for _ in range(n)]
-    for S in family:
-        for w in S:
-            residues[w].add(S - {w})
-    rep = list(range(n))
-    reps_by_colour: dict[int, list[int]] = {}
-    for w in range(n):
-        reps = reps_by_colour.setdefault(colours[w] if colours else 0, [])
-        for r in reps:
-            if (len(residues[r]) == len(residues[w])
-                    and {T for T in residues[r] if w not in T}
-                    == {T for T in residues[w] if r not in T}):
-                rep[w] = r
-                break
-        else:
-            reps.append(w)
-    return rep
 
 
 def set_family_isomorphisms(n_a: int, fams_a: list[frozenset[int]],
@@ -156,23 +136,20 @@ def set_family_isomorphisms(n_a: int, fams_a: list[frozenset[int]],
         return
     inc_a = _incidence(n_a, fam_a_set)
     inc_b = _incidence(n_b, fam_b_set)
-    refined = _refine(n_a, inc_a, n_b, inc_b)
+    refined = _refine(n_a, inc_a, n_b, inc_b, deadline)
     if refined is None:
         return
     col_a, col_b = refined
 
-    adj_a = [set() for _ in range(n_a)]
-    adj_b = [set() for _ in range(n_b)]
-    for S in fam_a_set:
-        if len(S) == 2:
-            x, y = S
-            adj_a[x].add(y)
-            adj_a[y].add(x)
-    for S in fam_b_set:
-        if len(S) == 2:
-            x, y = S
-            adj_b[x].add(y)
-            adj_b[y].add(x)
+    # 2-set neighbourhoods as bitmasks
+    nbr_a = [0] * n_a
+    nbr_b = [0] * n_b
+    for nbr, fam in ((nbr_a, fam_a_set), (nbr_b, fam_b_set)):
+        for S in fam:
+            if len(S) == 2:
+                x, y = S
+                nbr[x] |= 1 << y
+                nbr[y] |= 1 << x
 
     # A is assigned in order, so a set of A becomes fully assigned exactly
     # when its largest member is
@@ -181,90 +158,70 @@ def set_family_isomorphisms(n_a: int, fams_a: list[frozenset[int]],
         if S:
             closing_a[max(S)].append(S)
 
-    fwd: list[Optional[int]] = [None] * n_a
-    bwd: list[Optional[int]] = [None] * n_b
-
-    def consistent(v: int, w: int) -> bool:
-        # A is assigned in order, so 0..v-1 are its assigned vertices: the
-        # assigned 2-set neighbours of v must map onto those of w
-        if ({fwd[u] for u in adj_a[v] if u < v}
-                != {x for x in adj_b[w] if bwd[x] is not None}):
-            return False
-        for S in closing_a[v]:
-            if frozenset([w if u == v else fwd[u] for u in S]) not in fam_b_set:
-                return False
-        for S in inc_b[w]:
-            pre = []
-            for u in S:
-                if bwd[u] is None and u != w:
-                    break
-                pre.append(v if u == w else bwd[u])
-            else:
-                if frozenset(pre) not in fam_a_set:
-                    return False
-        return True
+    def assign(dom: list[int], v: int, w: int) -> Optional[list[int]]:
+        """The domains after v -> w and every assignment it forces, or None
+        when a domain empties."""
+        dom = dom[:]
+        dom[v] = 1 << w
+        forced = [v]
+        for t in forced:
+            bit = dom[t]
+            inside = nbr_b[bit.bit_length() - 1]
+            outside = ~(inside | bit)
+            adj = nbr_a[t]
+            for u in range(v + 1, n_a):
+                d = dom[u]
+                new = d & (inside if adj >> u & 1 else outside)
+                if new != d and u != t:
+                    if not new:
+                        return None
+                    dom[u] = new
+                    if not new & (new - 1):
+                        forced.append(u)
+        return dom
 
     def verify(image: tuple[int, ...]) -> bool:
         return {frozenset(image[u] for u in S) for S in fam_a_set} == fam_b_set
 
-    # candidates for v are the B vertices of v's colour, in ascending order
-    by_colour: dict[int, list[int]] = {}
+    # a domain starts as the vertex's colour class
+    colour_b: dict[int, int] = {}
     for w in range(n_b):
-        by_colour.setdefault(col_b[w], []).append(w)
-    twin_b: Optional[list[int]] = None
-    twinned: set[int] = set()  # least members of twin classes of size > 1
+        colour_b[col_b[w]] = colour_b.get(col_b[w], 0) | 1 << w
 
-    # depth-first over v = 0..n_a-1 on an explicit stack: per depth, the next
-    # candidate index, the yield count when fwd[v] was assigned (the subtree
-    # yielded iff it has grown since) and the twin classes of candidates whose
-    # subtree yielded nothing.  A twin w' of such a w is unassigned too, so
-    # (w w') fixes the partial map and would carry any extension through w'
-    # to one through w.
-    pos = [0] * n_a
-    mark = [0] * n_a
-    dead: list[set[int]] = [set() for _ in range(n_a)]
-    yields = 0
-    nodes = 0
+    # depth-first over v = 0..n_a-1 on an explicit stack: per depth, the
+    # domains before v is assigned and the candidates for v not yet tried
+    doms: list[list[int]] = [[colour_b[c] for c in col_a]] + [[]] * n_a
+    untried = [0] * n_a
+    untried[0] = doms[0][0]
+    fwd = [0] * n_a
     v = 0
     while v >= 0:
-        nodes += 1
-        if nodes % 4096 == 0:
-            _check_deadline(deadline, f"searching isomorphisms (depth {v} of {n_a})")
+        if time.monotonic() > deadline:
+            raise EnumerationBudgetError(
+                f"time budget exceeded while searching isomorphisms (depth {v} of {n_a})")
         if v == n_a:
-            image = tuple(fwd)  # type: ignore[arg-type]
+            image = tuple(fwd)
             if verify(image):
-                yields += 1
                 yield image
             v -= 1
             continue
-        w = fwd[v]
-        if w is not None:  # back from the subtree of v -> w
-            fwd[v] = None
-            bwd[w] = None
-            if yields == mark[v]:
-                if twin_b is None:
-                    twin_b = twin_classes(n_b, fam_b_set, col_b)
-                    twinned = {r for u, r in enumerate(twin_b) if r != u}
-                if twin_b[w] in twinned:
-                    dead[v].add(twin_b[w])
-        row, i, dead_v = by_colour[col_a[v]], pos[v], dead[v]
-        while i < len(row):
-            w = row[i]
-            i += 1
-            if (bwd[w] is None and not (dead_v and twin_b[w] in dead_v)  # type: ignore[index]
-                    and consistent(v, w)):
-                break
+        cand = untried[v]
+        while cand:
+            w = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            fwd[v] = w
+            if all(frozenset([fwd[u] for u in S]) in fam_b_set for S in closing_a[v]):
+                dom = assign(doms[v], v, w)
+                if dom is not None:
+                    break
         else:
             v -= 1
             continue
-        pos[v] = i
-        fwd[v] = w
-        bwd[w] = v
-        mark[v] = yields
+        untried[v] = cand
         v += 1
+        doms[v] = dom
         if v < n_a:
-            pos[v] = 0
-            dead[v].clear()
+            untried[v] = dom[v]
 
 
 def _search_budget(K, L) -> Budget:

@@ -142,7 +142,7 @@ def parallel_pairs(p: RegularPair, q: RegularPair, M: MorseComplex) -> bool:
     """Parallelism read off the Morse complex alone: the pairs are
     incompatible and have equal links in M(G), i.e. they are distinct and
     share a class of ``M.quotient_map()``, which is computed on the minimal
-    non-faces of M(G) (twin classes of non-adjacent pairs).
+    non-faces of M(G).
 
     Requires a connected multigraph with at least three vertices.
     """
@@ -448,8 +448,8 @@ def reconstruct_multigraph_iso(
     """Explicit multigraph isomorphism from an isomorphism of Morse complexes.
 
     Route: quotient both Morse complexes (classes are the parallel classes of
-    pairs, read off the minimal non-faces as twin classes of non-adjacent
-    pairs; no face of either Morse complex is materialised), transport F to
+    pairs, the classes of ``quotient_map()`` on the minimal non-faces; no
+    face of either Morse complex is materialised), transport F to
     the simplifications, reconstruct the simple-graph isomorphism there,
     then verify that all parallel-class sizes agree.  The edge bijection is
     lexicographic within each class.

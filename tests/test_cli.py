@@ -48,8 +48,8 @@ def test_build_budget_exit(tmp_path, capsys):
 
 
 def test_reconstruct_search_budget_exit(tmp_path, capsys):
-    # a relabelled path whose isomorphism search runs for well over 10 s
-    P = path_graph(140)
+    # a relabelled path whose isomorphism search refines for some 5 s
+    P = path_graph(600)
     Q, _ = permuted_copy(P, random.Random(0))
     files = [write(tmp_path, name, "".join(" ".join(K.to_labels(f)) + "\n" for f in K.facets()))
              for name, K in (("p.cx", P), ("q.cx", Q))]
@@ -68,6 +68,35 @@ def test_budget_seconds_env_var(tmp_path, capsys, monkeypatch):
     g = write(tmp_path, "tri.cx", "a b c\n")
     code, out, _ = run(capsys, "build", g, "--budget-seconds", "60")
     assert code == 0 and out.startswith("p0")
+
+
+@pytest.mark.parametrize("content, args, env", [
+    (None, [], None),
+    (b"a b c\n", ["--budget-seconds", "abc"], None),
+    # no time compares greater than NaN, so it would switch every deadline off
+    (b"a b c\n", ["--budget-seconds", "nan"], None),
+    (b"a b c\n", [], "abc"),
+    ("caf\xe9 b\n".encode("latin-1"), [], None),
+], ids=["missing-file-argument", "budget-abc", "budget-nan", "env-budget-abc", "not-utf8"])
+def test_bad_input_exits_4(tmp_path, capsys, monkeypatch, content, args, env):
+    # exit 2 means "budget exceeded", so argparse's own exit 2 is not used
+    argv = ["build"]
+    if content is not None:
+        p = tmp_path / "in.cx"
+        p.write_bytes(content)
+        argv.append(str(p))
+    if env is not None:
+        monkeypatch.setenv("MORSE_BUDGET_SECONDS", env)
+    code, out, err = run(capsys, *argv, *args)
+    assert (code, out) == (4, "")
+    assert err.startswith("bad input: ") and len(err.splitlines()) == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_stats_on_morse_of_triangle(tmp_path, capsys):

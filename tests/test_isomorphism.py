@@ -118,10 +118,12 @@ def test_contractible_morse_complexes_still_distinguished():
     assert find_isomorphism(G, Gp) is None
 
 
-# -- twin pruning -------------------------------------------------------------
+# -- domain pruning -----------------------------------------------------------
 
-def _symmetric_morse_families():
-    """Minimal non-face families of Morse complexes with twins, <= 8 pairs."""
+def _small_morse_families():
+    """Minimal non-face families of small Morse complexes, <= 8 pairs: some
+    with interchangeable pairs, and those of P4 and C4, on which assignments
+    force others."""
     from morsecomplex import morse_complex
     bundles = [
         Multigraph.from_edges([(f"e{i}", "u", "v") for i in range(k)]) for k in (2, 3)]
@@ -129,35 +131,19 @@ def _symmetric_morse_families():
         [("e1", "u", "v"), ("e2", "u", "v"), ("e3", "u", "v"), ("e4", "v", "w")])
     cherry = Multigraph.from_edges([("e1", "u", "v"), ("e2", "u", "v"), ("e3", "v", "w")])
     out = []
-    for G in bundles + [theta, cherry, star_graph(3)]:
+    for G in bundles + [theta, cherry, star_graph(3), path_graph(4), cycle_graph(4)]:
         M = morse_complex(G)
         out.append((M.n_pairs, M.minimal_nonfaces()))
     return out
 
 
-def test_twin_classes_match_the_definition():
-    from itertools import combinations
-    from morsecomplex.isomorphism import twin_classes
-    n_twinned = 0
-    for n, fam in _symmetric_morse_families():
-        fam_set = set(fam)
-        rep = twin_classes(n, fam)
-        for a, b in combinations(range(n), 2):
-            swap = {a: b, b: a}
-            is_twin = {frozenset(swap.get(i, i) for i in S) for S in fam} == fam_set
-            assert (rep[a] == rep[b]) == is_twin
-        assert all(rep[w] <= w for w in range(n))
-        n_twinned += sum(rep[w] != w for w in range(n))
-    assert n_twinned
-
-
 def test_set_family_isomorphisms_equal_brute_force_in_order():
-    # the twin-pruned search yields exactly the filtered permutations, in
+    # the domain-pruned search yields exactly the filtered permutations, in
     # lexicographic order, also towards a relabelled copy
     from itertools import permutations
     from morsecomplex.isomorphism import set_family_isomorphisms
     rng = random.Random(4)
-    for n, fam in _symmetric_morse_families():
+    for n, fam in _small_morse_families():
         perm = list(range(n))
         rng.shuffle(perm)
         for target in (fam, [frozenset(perm[i] for i in S) for S in fam]):
@@ -202,6 +188,7 @@ def test_refine_equals_signature_definition():
     from morsecomplex import morse_complex
     from morsecomplex.corpus import connected_multigraphs
     from morsecomplex.isomorphism import _incidence, _refine
+    deadline = Budget().deadline()
     rng = random.Random(9)
     sources = list(connected_complexes(5)) + list(connected_multigraphs(4, 3))
     sources += [path_graph(50), path_graph(80)]
@@ -214,12 +201,12 @@ def test_refine_equals_signature_definition():
         rng.shuffle(perm)
         for other in (fam, {frozenset(perm[v] for v in S) for S in fam}):
             args = (n, _incidence(n, fam), n, _incidence(n, other))
-            assert _refine(*args) == _refine_by_definition(*args)
+            assert _refine(*args, deadline) == _refine_by_definition(*args)
     n_rejected = 0
     for n, fams in families.items():
         for fam, other in zip(fams, fams[1:4]):
             args = (n, _incidence(n, fam), n, _incidence(n, other))
-            got = _refine(*args)
+            got = _refine(*args, deadline)
             assert got == _refine_by_definition(*args)
             n_rejected += got is None
     assert n_rejected
@@ -248,17 +235,29 @@ def test_long_multigraph_path_search_needs_no_recursion(shallow_stack):
 
 
 def test_search_stops_at_the_tighter_budget():
-    # a relabelled path's only symmetry is the reflection; this one's search
-    # backtracks for well over 10 s without a deadline
-    P = path_graph(140)
+    # a relabelled path's only symmetry is the reflection; its 1,198 pairs
+    # take some 5 s to refine, and the deadline stops that phase too
+    P = path_graph(600)
     Q, _ = permuted_copy(P, random.Random(0))
     M_P, M_Q = morse_complex(P), morse_complex(Q, Budget(max_seconds=0.5))
     for A, B in ((M_P, M_Q), (M_Q, M_P)):
         start = time.monotonic()
         with pytest.raises(EnumerationBudgetError,
-                           match=r"searching isomorphisms \(depth \d+ of 278\)"):
+                           match=r"searching isomorphisms "
+                                 r"\((depth \d+ of 1198|refinement round \d+)\)"):
             find_isomorphism(A, B)
         assert time.monotonic() - start < 2
+
+
+def test_long_relabelled_path_reconstructs_in_budget():
+    # singleton domains force their vertices; without that this search
+    # runs past the budget
+    from morsecomplex.reconstruction import MorseIso, find_morse_isomorphism
+    P = path_graph(200)
+    Q, _ = permuted_copy(P, random.Random(0))
+    F = find_morse_isomorphism(morse_complex(P, Budget(max_seconds=5)),
+                               morse_complex(Q, Budget(max_seconds=5)))
+    assert isinstance(F, MorseIso)
 
 
 def test_positive_searches_leave_no_reference_cycles():

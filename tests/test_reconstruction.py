@@ -3,6 +3,7 @@ index-anomaly guard and the full complex reconstruction."""
 
 import random
 from itertools import combinations
+from typing import Iterable, Optional
 
 import pytest
 
@@ -462,10 +463,39 @@ def _relabelled_multigraph(G, rng):
     return Multigraph.from_edges(triples)
 
 
+def twin_classes(n: int, family: Iterable[frozenset[int]],
+                 colours: Optional[list[int]] = None) -> list[int]:
+    """Per vertex, the least vertex of its twin class.
+
+    Vertices w, w' are twins when the transposition (w w') maps the family
+    onto itself, i.e. {S - w : w in S, w' not in S} equals
+    {S - w' : w' in S, w not in S}.  Twinship is an equivalence relation
+    (conjugating one transposition by another gives the third), so comparing
+    each vertex with one representative per class suffices.  Automorphisms
+    preserve refined colours, so only vertices of equal colour are compared.
+    """
+    residues: list[set[frozenset[int]]] = [set() for _ in range(n)]
+    for S in family:
+        for w in S:
+            residues[w].add(S - {w})
+    rep = list(range(n))
+    reps_by_colour: dict[int, list[int]] = {}
+    for w in range(n):
+        reps = reps_by_colour.setdefault(colours[w] if colours else 0, [])
+        for r in reps:
+            if (len(residues[r]) == len(residues[w])
+                    and {T for T in residues[r] if w not in T}
+                    == {T for T in residues[w] if r not in T}):
+                rep[w] = r
+                break
+        else:
+            reps.append(w)
+    return rep
+
+
 def _twin_route_quotient_map(M):
     # the quotient map read off twin classes: the twin classes of the minimal
     # non-faces, each pair kept apart from a twin adjacent to it
-    from morsecomplex.isomorphism import twin_classes
     nonfaces = M.minimal_nonfaces()
     twin = twin_classes(M.n_pairs, nonfaces)
     nf_set = set(nonfaces)
