@@ -57,7 +57,8 @@ def _seconds(text: str) -> float:
 
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--budget-facets", type=int, default=Budget.max_facets,
-                   help="facet budget for Morse enumerations (default %(default)s)")
+                   help="facet budget for Morse enumerations, also the cap on "
+                        "materialised faces (default %(default)s)")
     p.add_argument("--budget-seconds", type=_seconds, default=None,
                    help="time budget per enumeration in seconds "
                         "(default 60, or MORSE_BUDGET_SECONDS)")
@@ -114,57 +115,48 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def cmd_iso(args) -> int:
-    A = _load(args.a)
-    B = _load(args.b)
-    _guard_size(A, args)
-    _guard_size(B, args)
-    if isinstance(A, Multigraph) != isinstance(B, Multigraph):
-        raise MalformedInputError("cannot compare a complex with a multigraph")
-    if isinstance(A, Multigraph):
-        got = find_multigraph_isomorphism(A, B)
-        if got is None:
-            print("not isomorphic", file=sys.stderr)
-            return EXIT_NEGATIVE
-        bij, edge_map = got
-        for v, w in bij.items():
-            print(f"{v} -> {w}")
-        for e, f in sorted(edge_map.items()):
-            print(f"# edge {e} -> {f}")
-        return EXIT_OK
-    bij = find_isomorphism(A, B)
-    if bij is None:
-        print("not isomorphic", file=sys.stderr)
-        return EXIT_NEGATIVE
-    for v, w in bij.items():
-        print(f"{v} -> {w}")
-    return EXIT_OK
-
-
-def cmd_reconstruct(args) -> int:
+def _load_pair(args):
     A = _load(args.a)
     B = _load(args.b)
     _guard_size(A, args)
     _guard_size(B, args)
     if isinstance(A, Multigraph) != isinstance(B, Multigraph):
         raise MalformedInputError("inputs must both be complexes or both multigraphs")
+    return A, B
+
+
+def _print_map(bij, edge_map=None):
+    for v, w in bij.items():
+        print(f"{v} -> {w}")
+    for e, f in sorted((edge_map or {}).items()):
+        print(f"# edge {e} -> {f}")
+
+
+def cmd_iso(args) -> int:
+    A, B = _load_pair(args)
+    if isinstance(A, Multigraph):
+        got = find_multigraph_isomorphism(A, B)
+    else:
+        bij = find_isomorphism(A, B)
+        got = None if bij is None else (bij, None)
+    if got is None:
+        print("not isomorphic", file=sys.stderr)
+        return EXIT_NEGATIVE
+    _print_map(*got)
+    return EXIT_OK
+
+
+def cmd_reconstruct(args) -> int:
+    A, B = _load_pair(args)
     budget = _budget(args)
-    M_A = morse_complex(A, budget)
-    M_B = morse_complex(B, budget)
-    F = find_morse_isomorphism(M_A, M_B)
+    F = find_morse_isomorphism(morse_complex(A, budget), morse_complex(B, budget))
     if F is None:
         print("Morse complexes are not isomorphic", file=sys.stderr)
         return EXIT_NEGATIVE
     if isinstance(A, Multigraph):
-        bij, edge_map = reconstruct_multigraph_iso(F, budget)
-        for v, w in bij.items():
-            print(f"{v} -> {w}")
-        for e, f in sorted(edge_map.items()):
-            print(f"# edge {e} -> {f}")
+        _print_map(*reconstruct_multigraph_iso(F))
     else:
-        bij = reconstruct_complex_iso(F, budget)
-        for v, w in bij.items():
-            print(f"{v} -> {w}")
+        _print_map(reconstruct_complex_iso(F))
     return EXIT_OK
 
 

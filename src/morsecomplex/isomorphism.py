@@ -15,7 +15,8 @@ of its ends are assigned.
 The search assigns vertices in canonical label order and tries candidates in
 ascending order, so the first witness found is the lexicographically least
 one.  Iterated partition refinement over incidence profiles colours both
-sides first.  Then each vertex of A keeps a domain: a bitmask of the vertices
+sides first; a round re-keys only the sets and vertices its last splits
+touched.  Then each vertex of A keeps a domain: a bitmask of the vertices
 of B it may still map to, which starts as its colour class (Ullmann's
 bit-vector domains, J. Exp. Algorithmics 15, 2010).  Assigning v -> w removes
 w from every later domain and intersects it with the 2-set neighbourhood of w
@@ -28,7 +29,8 @@ nothing, so the bijections found, their order and the lexicographically
 least witness are exactly those of the plain backtracking search.
 The search runs on an explicit stack, so its depth (the vertex count) is not
 bounded by the interpreter's recursion limit, and under a ``Budget``
-deadline, checked once per refinement round and at every search node: Morse
+deadline, checked once per refinement round, at every search node and at
+every forced assignment: Morse
 complexes carry their own budgets and a search between two of them runs
 under the tighter; anything else gets the default.  Intended for desk-scale
 inputs, exact always.
@@ -62,54 +64,87 @@ def _incidence(n: int, family: Iterable[frozenset[int]]) -> list[list[frozenset[
     return inc
 
 
-def _signatures(cols: list[int], inc: list[list[frozenset[int]]]) -> list[tuple]:
-    """Per vertex, its colour and the sorted colour multisets of its sets.
-
-    With the vertex's own colour fixed, the multiset of a set S through v
-    carries what that of S - v does, so each set's key is computed once.
-    """
-    key: dict[frozenset[int], tuple[int, ...]] = {}
-    sigs = []
-    for v, sets in enumerate(inc):
-        keys = []
-        for S in sets:
-            k = key.get(S)
-            if k is None:
-                k = key[S] = tuple(sorted([cols[u] for u in S]))
-            keys.append(k)
-        keys.sort()
-        sigs.append((cols[v], tuple(keys)))
-    return sigs
-
-
 def _refine(n_a: int, inc_a: list[list[frozenset[int]]],
             n_b: int, inc_b: list[list[frozenset[int]]],
             deadline: float) -> Optional[tuple[list[int], list[int]]]:
     """Joint iterated refinement on incidence lists; None if the colour
-    histograms ever disagree.  Checks the deadline once per round."""
-    col_a = [0] * n_a
-    col_b = [0] * n_b
-    n_classes = 1
+    histograms ever disagree.  Checks the deadline once per round.
+
+    A round splits each class by its vertices' multisets of set keys, a set's
+    key being the sorted classes of its members (with the vertex's own class
+    fixed, the key of S carries what that of S - v does).  The largest part
+    keeps the class id (Hopcroft), so only the sets through a vertex of
+    another part get new keys, only their vertices new signatures, and one
+    unaffected vertex stands for the rest of its class.  The parts are those
+    of re-splitting every class; colours are numbered by first appearance,
+    A before B.
+    """
+    if n_a != n_b:
+        return None
+    sets: list[tuple[int, ...]] = []
+    rows: list[list[int]] = []
+    for offset, inc in ((0, inc_a), (n_a, inc_b)):
+        index: dict[frozenset[int], int] = {}
+        base = len(sets)
+        rows += [[base + index.setdefault(S, len(index)) for S in row] for row in inc]
+        sets += [tuple([offset + u for u in S]) for S in index]
+    n = n_a + n_b
+    col = [0] * n
+    members = {0: set(range(n))}  # class id -> its vertices
+    from_a = {0: n_a}  # class id -> how many of its vertices are A's
+    keys: dict[tuple[int, ...], int] = {}
+    num = [keys.setdefault((0,) * len(S), len(keys)) for S in sets]
+    affected: set[int] = set(range(n))
     rounds = 0
     while True:
         rounds += 1
         _check_deadline(deadline, f"searching isomorphisms (refinement round {rounds})")
-        table: dict = {}
-        sig_a = _signatures(col_a, inc_a)
-        sig_b = _signatures(col_b, inc_b)
-        for s in sig_a + sig_b:
-            if s not in table:
-                table[s] = len(table)
-        col_a = [table[s] for s in sig_a]
-        col_b = [table[s] for s in sig_b]
-        hist_a = sorted(col_a)
-        hist_b = sorted(col_b)
-        if hist_a != hist_b:
-            return None
-        new_classes = len(set(hist_a))
-        if new_classes == n_classes:
-            return col_a, col_b
-        n_classes = new_classes
+        by_class: dict[int, list[int]] = {}
+        for v in affected:
+            by_class.setdefault(col[v], []).append(v)
+        changed: list[int] = []
+        for c, vs in by_class.items():
+            cls = members[c]
+            rest = len(cls) - len(vs)  # unaffected vertices, all in the first part
+            groups: dict[tuple[int, ...], list[int]] = {}
+            if rest:
+                rep = next(u for u in cls if u not in affected)
+                groups[tuple(sorted([num[i] for i in rows[rep]]))] = []
+            for v in vs:
+                groups.setdefault(tuple(sorted([num[i] for i in rows[v]])), []).append(v)
+            if len(groups) == 1:
+                continue
+            parts = list(groups.values())
+            sizes = [len(part) for part in parts]
+            sizes[0] += rest
+            keep = sizes.index(max(sizes))
+            if rest and keep != 0:
+                moved = {v for part in parts[1:] for v in part}
+                parts[0] = [v for v in cls if v not in moved]
+            for j, part in enumerate(parts):
+                if j == keep:
+                    continue
+                d = len(members)
+                members[d] = set(part)
+                cls -= members[d]
+                for v in part:
+                    col[v] = d
+                changed += part
+                from_a[d] = sum(1 for v in part if v < n_a)
+                from_a[c] -= from_a[d]
+                if 2 * from_a[d] != len(part):
+                    return None
+            if 2 * from_a[c] != len(cls):
+                return None
+        if not changed:
+            break
+        touched = {i for v in changed for i in rows[v]}
+        for i in touched:
+            num[i] = keys.setdefault(tuple(sorted([col[u] for u in sets[i]])), len(keys))
+        affected = {u for i in touched for u in sets[i]}
+    colour: dict[int, int] = {}
+    out = [colour.setdefault(c, len(colour)) for c in col]
+    return out[:n_a], out[n_a:]
 
 
 def set_family_isomorphisms(n_a: int, fams_a: list[frozenset[int]],
@@ -158,6 +193,11 @@ def set_family_isomorphisms(n_a: int, fams_a: list[frozenset[int]],
         if S:
             closing_a[max(S)].append(S)
 
+    def check_time(depth: int):
+        if time.monotonic() > deadline:
+            raise EnumerationBudgetError(
+                f"time budget exceeded while searching isomorphisms (depth {depth} of {n_a})")
+
     def assign(dom: list[int], v: int, w: int) -> Optional[list[int]]:
         """The domains after v -> w and every assignment it forces, or None
         when a domain empties."""
@@ -165,6 +205,7 @@ def set_family_isomorphisms(n_a: int, fams_a: list[frozenset[int]],
         dom[v] = 1 << w
         forced = [v]
         for t in forced:
+            check_time(v)
             bit = dom[t]
             inside = nbr_b[bit.bit_length() - 1]
             outside = ~(inside | bit)
@@ -181,7 +222,7 @@ def set_family_isomorphisms(n_a: int, fams_a: list[frozenset[int]],
         return dom
 
     def verify(image: tuple[int, ...]) -> bool:
-        return {frozenset(image[u] for u in S) for S in fam_a_set} == fam_b_set
+        return {frozenset([image[u] for u in S]) for S in fam_a_set} == fam_b_set
 
     # a domain starts as the vertex's colour class
     colour_b: dict[int, int] = {}
@@ -196,9 +237,7 @@ def set_family_isomorphisms(n_a: int, fams_a: list[frozenset[int]],
     fwd = [0] * n_a
     v = 0
     while v >= 0:
-        if time.monotonic() > deadline:
-            raise EnumerationBudgetError(
-                f"time budget exceeded while searching isomorphisms (depth {v} of {n_a})")
+        check_time(v)
         if v == n_a:
             image = tuple(fwd)
             if verify(image):
@@ -239,20 +278,21 @@ def find_isomorphism(K, L) -> Optional[VertexBijection]:
 
     Accepts simplicial complexes (decided on facet families) and any object
     exposing ``iso_structure()``.  The search runs from the side with the
-    smaller structure certificate and returns the lexicographically least
-    witness there; the swapped call returns exactly the inverse map, so the
-    two directions always agree.  Raises EnumerationBudgetError when the
+    smaller structure certificate, each side's computed once, and returns the
+    lexicographically least witness there, inverted when that side is L; so
+    the two directions always agree.  Raises EnumerationBudgetError when the
     search outlasts the tighter budget of two Morse complexes (the default
     budget for other objects).
     """
     labels_a, fams_a = _iso_structure(K)
     labels_b, fams_b = _iso_structure(L)
-    if _certificate(labels_b, fams_b) < _certificate(labels_a, fams_a):
-        got = find_isomorphism(L, K)
-        return None if got is None else got.inverse()
+    backwards = _certificate(labels_b, fams_b) < _certificate(labels_a, fams_a)
+    if backwards:
+        labels_a, fams_a, labels_b, fams_b = labels_b, fams_b, labels_a, fams_a
     for image in set_family_isomorphisms(len(labels_a), fams_a, len(labels_b), fams_b,
                                          budget=_search_budget(K, L)):
-        return VertexBijection({labels_a[v]: labels_b[w] for v, w in enumerate(image)})
+        bij = VertexBijection({labels_a[v]: labels_b[w] for v, w in enumerate(image)})
+        return bij.inverse() if backwards else bij
     return None
 
 

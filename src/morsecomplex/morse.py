@@ -38,7 +38,12 @@ Source = Union[SimplicialComplex, Multigraph]
 
 @dataclass(frozen=True)
 class Budget:
-    """Resource guard for enumerations; exceeding raises, never truncates."""
+    """Resource guard for enumerations; exceeding raises, never truncates.
+
+    ``max_facets`` caps the facets ``MorseComplex.facets()`` lists and also
+    the faces ``MorseComplex.faces()`` (and so ``as_complex()``)
+    materialises; ``max_seconds`` bounds each enumeration and search.
+    """
 
     max_facets: int = 1_000_000
     max_seconds: float = 60.0
@@ -105,6 +110,14 @@ class HasseDiagram:
     def n_covers(self) -> int:
         return len(self.covers)
 
+    def regular_pairs(self) -> list[RegularPair]:
+        """One regular pair per cover, in cover order."""
+        out = []
+        for s, t in self.covers:
+            dim, name = self.cells[s]
+            out.append(RegularPair(name, self.cells[t][1], dim))
+        return out
+
     def boundary_rank(self) -> int:
         """Rank over GF(2) of the boundary matrix, summed over dimensions:
         one column per cell, with one bit per cell it covers.  The blocks of
@@ -141,13 +154,7 @@ def hasse(obj: Source) -> HasseDiagram:
 
 def primitive_pairs(obj: Source) -> list[RegularPair]:
     """One regular pair per Hasse cover; the vertices of the Morse complex."""
-    diagram = hasse(obj)
-    out = []
-    for s, t in diagram.covers:
-        dim, name = diagram.cells[s]
-        _, tname = diagram.cells[t]
-        out.append(RegularPair(name, tname, dim))
-    return out
+    return hasse(obj).regular_pairs()
 
 
 # -- standalone pair-set predicates ----------------------------------------
@@ -280,7 +287,7 @@ class MorseComplex:
         self.source = source
         self.budget = budget or DEFAULT_BUDGET
         self.hasse = hasse(source)
-        self.pairs: tuple[RegularPair, ...] = tuple(primitive_pairs(source))
+        self.pairs: tuple[RegularPair, ...] = tuple(self.hasse.regular_pairs())
         n = len(self.pairs)
         width = len(str(n - 1)) if n > 1 else 1
         self.pair_ids: tuple[str, ...] = tuple(f"p{i:0{width}d}" for i in range(n))
@@ -420,13 +427,11 @@ class MorseComplex:
         n = self.n_pairs
         out = []
         for i in range(n):
-            f = self._conflict[i] >> (i + 1)
-            j = i + 1
+            f = self._conflict[i] >> (i + 1) << (i + 1)
             while f:
-                if f & 1:
-                    out.append(frozenset((i, j)))
-                f >>= 1
-                j += 1
+                b = f & -f
+                f ^= b
+                out.append(frozenset((i, b.bit_length() - 1)))
         out.extend(self._chordless_circuits())
         return out
 
@@ -434,9 +439,26 @@ class MorseComplex:
         n = self.n_pairs
         arc, rev, conflict = self._arc, self._rev, self._conflict
         deadline = self.budget.deadline()
+        # a pair of a circuit has arcs to and from pairs of it that it does not
+        # conflict with; trimming the pairs without both among the untrimmed
+        # keeps every circuit, found below in the same order
+        cyclic = (1 << n) - 1
+        trim = list(range(n))
+        while trim:
+            v = trim.pop()
+            free = cyclic & ~conflict[v]
+            if cyclic >> v & 1 and not (arc[v] & free and rev[v] & free):
+                cyclic ^= 1 << v
+                f = (arc[v] | rev[v]) & free
+                while f:
+                    b = f & -f
+                    f ^= b
+                    trim.append(b.bit_length() - 1)
         out = []
         steps = 0
         for s in range(n):
+            if not cyclic >> s & 1:
+                continue
             stack = [((s,), 1 << s)]
             while stack:
                 path, mask = stack.pop()
@@ -447,7 +469,7 @@ class MorseComplex:
                 if len(path) >= 2 and (arc[u] >> s) & 1:
                     out.append(frozenset(path))
                     continue  # extending would leave the chord u -> start
-                f = arc[u] & ~mask
+                f = arc[u] & cyclic & ~mask
                 while f:
                     b = f & -f
                     f ^= b
@@ -712,7 +734,10 @@ class MorseComplex:
         return self._facets
 
     def faces(self, budget: Optional[Budget] = None) -> tuple[tuple[int, ...], ...]:
-        """Every acyclic matching (simplices of M(K)), the empty one excluded."""
+        """Every acyclic matching (simplices of M(K)), the empty one excluded.
+
+        Raises EnumerationBudgetError past ``budget.max_facets`` faces: the
+        facet cap is also the face cap."""
         if self._faces is None:
             budget = budget or self.budget
             deadline = budget.deadline()

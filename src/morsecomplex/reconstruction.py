@@ -4,10 +4,13 @@ Given a simplicial isomorphism F between Morse complexes, these operations
 produce an explicit isomorphism of the underlying objects: simple graphs via
 the source-vertex formula f(v) = source(F(v, e)), multigraphs via quotients
 (read off the minimal non-faces of the Morse complexes, never off their
-faces) and parallel-class counting, and general complexes by extending the graph
-case skeleton by skeleton.  Every step the theory guarantees is re-checked at
-run time; a failed check raises TheoremContradictionError rather than
-returning a wrong map.
+faces) and parallel-class counting, and general complexes by extending the
+graph case skeleton by skeleton.  The graph step of a complex reads the
+formula off F's own index-0 pairs: M(K^1) is the full subcomplex of M(K) on
+them, so F restricted there is already validated and no Morse complex of a
+1-skeleton is built.  Every step the theory guarantees is re-checked at run
+time; a failed check raises TheoremContradictionError rather than returning
+a wrong map.
 
 The one exceptional family: an isomorphism may move index-0 pairs to higher
 index only when both complexes are the boundary of a simplex, where every
@@ -28,7 +31,7 @@ from .errors import (HypothesisViolationError, InvalidIsomorphismError,
                      TheoremContradictionError)
 from .isomorphism import (find_isomorphism, find_multigraph_isomorphism,
                           multigraph_edge_map)
-from .morse import Budget, MorseComplex, RegularPair, morse_complex
+from .morse import MorseComplex, RegularPair, morse_complex
 
 
 class MorseIso:
@@ -59,7 +62,7 @@ class MorseIso:
         image = {}
         for p, q in self.forward.items():
             image[M_K.index_of_pair(p)] = M_L.index_of_pair(q)
-        nf_K = {frozenset(image[i] for i in nf) for nf in M_K.minimal_nonfaces()}
+        nf_K = {frozenset([image[i] for i in nf]) for nf in M_K.minimal_nonfaces()}
         nf_L = set(M_L.minimal_nonfaces())
         if nf_K != nf_L:
             raise InvalidIsomorphismError(
@@ -287,6 +290,34 @@ def _require_graph(K: SimplicialComplex, name: str):
         raise HypothesisViolationError(f"{name} must be connected")
 
 
+def _source_formula(F: MorseIso) -> VertexBijection:
+    """The vertex map f(v) = source(F(v, e)) read off the index-0 pairs of F,
+    which F keeps at index 0 when it has no index anomaly.  The independence
+    from the chosen edge is verified, as is injectivity."""
+    by_source: dict[str, list[RegularPair]] = {}
+    for p in F.M_K.pairs:
+        if p.index == 0:
+            by_source.setdefault(p.source[0], []).append(p)
+    forward = {}
+    for v in F.M_K.source.labels:
+        incident = by_source.get(v, ())
+        if not incident:
+            raise TheoremContradictionError(
+                f"{v} has no pair, yet a connected graph with >= 2 vertices "
+                "has no isolated vertex")
+        images = {F(p).source[0] for p in incident}
+        if len(images) != 1:
+            witness = {F(p).source[0]: p for p in incident}
+            w1, w2 = sorted(witness)[:2]
+            raise TheoremContradictionError(
+                f"f({v}) depends on the incident edge: {witness[w1]} maps to "
+                f"source {w1} but {witness[w2]} maps to source {w2}")
+        forward[v] = images.pop()
+    if len(set(forward.values())) != len(forward):
+        raise TheoremContradictionError("reconstructed vertex map is not injective")
+    return VertexBijection(forward)
+
+
 def reconstruct_graph_iso(F: MorseIso) -> VertexBijection:
     """Explicit isomorphism between connected simple non-cycle graphs from an
     isomorphism of their Morse complexes: each vertex goes to the source of
@@ -305,28 +336,7 @@ def reconstruct_graph_iso(F: MorseIso) -> VertexBijection:
         if H.n_vertices != 1:
             raise TheoremContradictionError("single vertex must map to single vertex")
         return VertexBijection({G.labels[0]: H.labels[0]})
-
-    by_source: dict[str, list[RegularPair]] = {}
-    for p in F.M_K.pairs:
-        by_source.setdefault(p.source[0], []).append(p)
-    forward = {}
-    for v in G.labels:
-        incident = sorted(by_source.get(v, ()), key=lambda p: p.target)
-        if not incident:
-            raise TheoremContradictionError(
-                f"{v} has no pair, yet a connected graph with >= 2 vertices "
-                "has no isolated vertex")
-        images = {F(p).source[0] for p in incident}
-        if len(images) != 1:
-            witness = {F(p).source[0]: p for p in incident}
-            w1, w2 = sorted(witness)[:2]
-            raise TheoremContradictionError(
-                f"f({v}) depends on the incident edge: {witness[w1]} maps to "
-                f"source {w1} but {witness[w2]} maps to source {w2}")
-        forward[v] = images.pop()
-    if len(set(forward.values())) != len(forward):
-        raise TheoremContradictionError("reconstructed vertex map is not injective")
-    bij = VertexBijection(forward)
+    bij = _source_formula(F)
     if not bij.is_simplicial_isomorphism(G, H):
         raise TheoremContradictionError("reconstructed vertex map is not an isomorphism")
     return bij
@@ -349,35 +359,14 @@ def reconstruct_cycle(G: SimplicialComplex, H: SimplicialComplex) -> Optional[in
 
 # -- full reconstruction -----------------------------------------------------
 
-def _restrict_to_graph_iso(F: MorseIso, budget: Optional[Budget]) -> tuple[MorseIso, SimplicialComplex, SimplicialComplex]:
-    """Restriction of F to index-0 pairs, as a MorseIso of the 1-skeletons."""
-    K1 = F.M_K.source.skeleton(1)
-    L1 = F.M_L.source.skeleton(1)
-    M_K1 = morse_complex(K1, budget)
-    M_L1 = morse_complex(L1, budget)
-    forward = {}
-    for p in F.M_K.pairs:
-        if p.index == 0:
-            q = F(p)
-            if q.index != 0:
-                raise TheoremContradictionError(
-                    f"anomaly-free isomorphism moves index-0 pair {p} to {q}")
-            forward[p] = q
-    try:
-        F0 = MorseIso(M_K1, M_L1, forward)
-    except InvalidIsomorphismError as e:
-        raise TheoremContradictionError(
-            f"restriction to the 1-skeletons is not an isomorphism: {e}") from e
-    return F0, K1, L1
-
-
-def reconstruct_complex_iso(F: MorseIso, budget: Optional[Budget] = None) -> VertexBijection:
+def reconstruct_complex_iso(F: MorseIso) -> VertexBijection:
     """Explicit isomorphism K -> L from an isomorphism of Morse complexes.
 
-    Route: rule out (or dispatch) the boundary-of-a-simplex anomaly, restrict
-    to the 1-skeletons, reconstruct the graph isomorphism, then check the
-    skeleton-by-skeleton extension on every regular pair.  The returned map
-    is verified to be an isomorphism of the full complexes.
+    Route: rule out (or dispatch) the boundary-of-a-simplex anomaly, read
+    the vertex map off F's index-0 pairs (the graph case on the
+    1-skeletons), then check the skeleton-by-skeleton extension on every
+    regular pair.  The returned map is verified to be an isomorphism of the
+    full complexes.
     """
     K, L = F.M_K.source, F.M_L.source
     if not isinstance(K, SimplicialComplex) or not isinstance(L, SimplicialComplex):
@@ -404,12 +393,11 @@ def reconstruct_complex_iso(F: MorseIso, budget: Optional[Budget] = None) -> Ver
             raise TheoremContradictionError("empty Morse complex forces a single vertex")
         return VertexBijection({K.labels[0]: L.labels[0]})
 
-    F0, K1, L1 = _restrict_to_graph_iso(F, budget)
-
+    K1 = K.skeleton(1)
     n_cyc = K1.cycle_length()
     if n_cyc is not None:
         if K.dim == 1:
-            if reconstruct_cycle(K1, L1) is None:
+            if reconstruct_cycle(K1, L.skeleton(1)) is None:
                 raise TheoremContradictionError("cycle must map to a cycle of the same length")
             bij = find_isomorphism(K, L)
             if bij is None:
@@ -427,7 +415,7 @@ def reconstruct_complex_iso(F: MorseIso, budget: Optional[Budget] = None) -> Ver
                 "the label-order map between full triangles is not an isomorphism")
         return bij
 
-    f = reconstruct_graph_iso(F0)
+    f = _source_formula(F)
 
     # skeleton-by-skeleton consistency: F must act on every pair as f does
     for p in F.M_K.pairs:
@@ -442,9 +430,7 @@ def reconstruct_complex_iso(F: MorseIso, budget: Optional[Budget] = None) -> Ver
     return f
 
 
-def reconstruct_multigraph_iso(
-        F: MorseIso,
-        budget: Optional[Budget] = None) -> tuple[VertexBijection, dict[str, str]]:
+def reconstruct_multigraph_iso(F: MorseIso) -> tuple[VertexBijection, dict[str, str]]:
     """Explicit multigraph isomorphism from an isomorphism of Morse complexes.
 
     Route: quotient both Morse complexes (classes are the parallel classes of
@@ -452,7 +438,8 @@ def reconstruct_multigraph_iso(
     face of either Morse complex is materialised), transport F to
     the simplifications, reconstruct the simple-graph isomorphism there,
     then verify that all parallel-class sizes agree.  The edge bijection is
-    lexicographic within each class.
+    lexicographic within each class.  The Morse complexes of the
+    simplifications are built under the budgets of F's own Morse complexes.
     """
     G, H = F.M_K.source, F.M_L.source
     if not isinstance(G, Multigraph) or not isinstance(H, Multigraph):
@@ -472,8 +459,8 @@ def reconstruct_multigraph_iso(
 
     sG, emap_G = simplify(G)
     sH, emap_H = simplify(H)
-    M_sG = morse_complex(sG, budget)
-    M_sH = morse_complex(sH, budget)
+    M_sG = morse_complex(sG, F.M_K.budget)
+    M_sH = morse_complex(sH, F.M_L.budget)
 
     # quotient of M(G) -> pairs of M(sG): the class of (v, e) is read off the
     # merged edge; well-definedness rides on the parallel-pair characterization

@@ -184,7 +184,7 @@ def criterion_complex_determination(max_vertices: int = 5, budget: Optional[Budg
             F = find_morse_isomorphism(morse[i], morse[i])
             if F is None:
                 raise CriterionFailure(f"no automorphism found for member {i}")
-            f = reconstruct_complex_iso(F, budget)
+            f = reconstruct_complex_iso(F)
             if not f.is_simplicial_isomorphism(K, K):
                 raise CriterionFailure(
                     f"reconstruction of member {i} is not an isomorphism")
@@ -218,7 +218,7 @@ def criterion_multigraph_determination(max_vertices: int = 4, max_multiplicity: 
             F = find_morse_isomorphism(morse[i], morse[i])
             if F is None:
                 raise CriterionFailure(f"no automorphism found for member {i}")
-            f, edge_map = reconstruct_multigraph_iso(F, budget)
+            f, edge_map = reconstruct_multigraph_iso(F)
             for u in G.labels:
                 for v in G.labels:
                     if u < v:
@@ -263,7 +263,7 @@ def criterion_functoriality(samples: int = 1000, seed: int = 0,
             Kp, h = permuted_copy(K, rng)
             M_Kp = morse_complex(Kp, budget)
             F = MorseIso.functorial(M_K, M_Kp, h)
-            f = reconstruct_complex_iso(F, budget)
+            f = reconstruct_complex_iso(F)
             if f.forward != h.forward:
                 raise CriterionFailure(
                     f"recovered map differs from the inducing permutation on {K!r}")

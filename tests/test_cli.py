@@ -48,8 +48,8 @@ def test_build_budget_exit(tmp_path, capsys):
 
 
 def test_reconstruct_search_budget_exit(tmp_path, capsys):
-    # a relabelled path whose isomorphism search refines for some 5 s
-    P = path_graph(600)
+    # a relabelled path whose isomorphism search runs for some 5 s
+    P = path_graph(1500)
     Q, _ = permuted_copy(P, random.Random(0))
     files = [write(tmp_path, name, "".join(" ".join(K.to_labels(f)) + "\n" for f in K.facets()))
              for name, K in (("p.cx", P), ("q.cx", Q))]

@@ -235,16 +235,16 @@ def test_long_multigraph_path_search_needs_no_recursion(shallow_stack):
 
 
 def test_search_stops_at_the_tighter_budget():
-    # a relabelled path's only symmetry is the reflection; its 1,198 pairs
-    # take some 5 s to refine, and the deadline stops that phase too
-    P = path_graph(600)
+    # a relabelled path's only symmetry is the reflection; the search over
+    # its 2,998 pairs takes some 5 s, and the deadline stops it
+    P = path_graph(1500)
     Q, _ = permuted_copy(P, random.Random(0))
     M_P, M_Q = morse_complex(P), morse_complex(Q, Budget(max_seconds=0.5))
     for A, B in ((M_P, M_Q), (M_Q, M_P)):
         start = time.monotonic()
         with pytest.raises(EnumerationBudgetError,
                            match=r"searching isomorphisms "
-                                 r"\((depth \d+ of 1198|refinement round \d+)\)"):
+                                 r"\((depth \d+ of 2998|refinement round \d+)\)"):
             find_isomorphism(A, B)
         assert time.monotonic() - start < 2
 

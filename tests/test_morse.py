@@ -153,6 +153,17 @@ def test_long_path_dimension_needs_no_recursion(shallow_stack):
     assert morse_complex(path_graph(1200)).dimension(ONE_SECOND) == 1198
 
 
+def test_one_skeleton_morse_complex_is_the_index_0_block():
+    # M(K^1) is the full subcomplex of M(K) on the index-0 pairs, which is
+    # what lets reconstruction read the graph step off F itself
+    for K in connected_complexes(5) + (full_simplex("abcdef"), boundary_simplex("abcdef")):
+        M, M1 = morse_complex(K), morse_complex(K.skeleton(1))
+        n0 = sum(1 for p in M.pairs if p.index == 0)
+        assert M1.pairs == M.pairs[:n0]
+        block = frozenset(range(n0))
+        assert set(M1.minimal_nonfaces()) == {nf for nf in M.minimal_nonfaces() if nf <= block}
+
+
 def test_boundary_rank_equals_betti_route():
     for K in connected_complexes(5):
         assert 2 * hasse(K).boundary_rank() == len(K.simplices) - sum(betti_mod2(K))

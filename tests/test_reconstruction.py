@@ -1,6 +1,7 @@
 """Reconstruction machinery: quotients, graph and multigraph theorems, the
 index-anomaly guard and the full complex reconstruction."""
 
+import hashlib
 import random
 from itertools import combinations
 from typing import Iterable, Optional
@@ -306,6 +307,51 @@ def test_reconstruct_relabelled_complexes():
         assert F is not None
         f = reconstruct_complex_iso(F)
         assert f.is_simplicial_isomorphism(K, Kp)
+
+
+def test_complex_reconstruction_builds_no_morse_complex(monkeypatch):
+    # the graph step reads F's index-0 pairs; it builds no M(K^1)
+    import morsecomplex.morse as morse
+    K = closure([["a", "b", "c"], ["c", "d"], ["d", "e", "f"], ["b", "f"]])
+    Kp, _ = permuted_copy(K, random.Random(5))
+    F = find_morse_isomorphism(morse_complex(K), morse_complex(Kp))
+    built = []
+    init = morse.MorseComplex.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(morse.MorseComplex, "__init__", counting_init)
+    f = reconstruct_complex_iso(F)
+    assert f.is_simplicial_isomorphism(K, Kp)
+    assert built == []
+
+
+def test_reconstruction_maps_pinned():
+    # which map each route returns, not only that it is an isomorphism
+    from morsecomplex.corpus import connected_multigraphs
+    h = hashlib.sha256()
+
+    def line(x):
+        h.update(repr(x).encode())
+        h.update(b"\n")
+
+    rng = random.Random(2015)
+    for K in connected_complexes(5):
+        Kp, g = permuted_copy(K, rng)
+        M_K, M_Kp = morse_complex(K), morse_complex(Kp)
+        line(reconstruct_complex_iso(find_morse_isomorphism(M_K, M_Kp)).items())
+        line(reconstruct_complex_iso(find_morse_isomorphism(M_Kp, M_K)).items())
+        line(reconstruct_complex_iso(MorseIso.functorial(M_K, M_Kp, g)).items())
+    for G in connected_multigraphs(4, 3):
+        if G.n_edges:
+            H = _relabelled_multigraph(G, rng)
+            f, emap = reconstruct_multigraph_iso(
+                find_morse_isomorphism(morse_complex(G), morse_complex(H)))
+            line((f.items(), sorted(emap.items())))
+    assert h.hexdigest() == (
+        "8ebd68641278ecc62f329fc7357523711118c5cb09314f737331d074b51e5d84")
 
 
 def test_reconstruct_cycle_complex():
