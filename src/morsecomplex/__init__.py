@@ -1,6 +1,7 @@
 """Discrete Morse complexes of simplicial complexes and multigraphs, and
 reconstruction of the underlying object from its Morse complex."""
 
+from .budget import Budget
 from .complexes import (Multigraph, SimplicialComplex, VertexBijection,
                         closure, immediate_faces, is_boundary_simplex,
                         is_connected, link, multigraph_is_connected, skeleton)
@@ -11,7 +12,7 @@ from .forests import (DirectedGraph, directed_forest_complex, double,
                       forest_identity_holds)
 from .invariants import InvariantReport, betti_mod2, greedy_collapse, invariants
 from .isomorphism import all_isomorphisms, find_isomorphism, find_multigraph_isomorphism
-from .morse import (Budget, GradientPath, HasseDiagram, MorseComplex,
+from .morse import (GradientPath, HasseDiagram, MorseComplex,
                     RegularPair, adjacent_cycles, compatible, critical_cells,
                     gradient_cycles, hasse, is_acyclic, is_matching,
                     minimal_gradient_cycles, morse_complex, primitive_pairs)

@@ -1,0 +1,36 @@
+"""The one resource guard shared by every enumeration and search.
+
+It lives apart from the Morse engine so that the isomorphism search and the
+forest-complex oracle can run under it without importing ``morse``.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass
+
+from .errors import EnumerationBudgetError
+
+
+@dataclass(frozen=True)
+class Budget:
+    """Resource guard for enumerations; exceeding raises, never truncates.
+
+    ``max_facets`` caps the facets ``MorseComplex.facets()`` lists and also
+    the faces ``MorseComplex.faces()`` (and so ``as_complex()``)
+    materialises; ``max_seconds`` bounds each enumeration and search.
+    """
+
+    max_facets: int = 1_000_000
+    max_seconds: float = 60.0
+
+    def deadline(self) -> float:
+        return time.monotonic() + self.max_seconds
+
+
+DEFAULT_BUDGET = Budget()
+
+
+def _check_deadline(deadline: float, what: str):
+    if time.monotonic() > deadline:
+        raise EnumerationBudgetError(f"time budget exceeded while {what}")

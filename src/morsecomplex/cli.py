@@ -14,6 +14,7 @@ import math
 import os
 import sys
 
+from .budget import Budget
 from .complexes import Multigraph
 from .errors import (EnumerationBudgetError, HypothesisViolationError,
                      InvalidIsomorphismError, MalformedInputError,
@@ -22,7 +23,7 @@ from .forests import forest_identity_holds
 from .formats import serialize_morse_complex, sniff_and_parse
 from .invariants import invariants
 from .isomorphism import find_isomorphism, find_multigraph_isomorphism
-from .morse import Budget, morse_complex
+from .morse import morse_complex
 from .reconstruction import (find_morse_isomorphism, reconstruct_complex_iso,
                              reconstruct_multigraph_iso)
 from . import verify as verify_mod

@@ -41,9 +41,10 @@ from __future__ import annotations
 import time
 from typing import Iterable, Iterator, Optional
 
+from .budget import DEFAULT_BUDGET, Budget, _check_deadline
 from .complexes import Multigraph, SimplicialComplex, VertexBijection
 from .errors import EnumerationBudgetError, TheoremContradictionError
-from .morse import DEFAULT_BUDGET, Budget, MorseComplex, _check_deadline
+from .morse import MorseComplex
 
 
 def _iso_structure(obj) -> tuple[tuple[str, ...], list[frozenset[int]]]:

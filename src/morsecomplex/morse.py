@@ -24,40 +24,15 @@ count is exact, which lets the facet budget fail fast and loudly.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, NamedTuple, Optional, Union
 
+from .budget import DEFAULT_BUDGET, Budget, _check_deadline
 from .complexes import Multigraph, SimplicialComplex, gf2_rank, immediate_faces
 from .errors import (EnumerationBudgetError, MalformedInputError,
                      TheoremContradictionError)
 
 Source = Union[SimplicialComplex, Multigraph]
-
-
-@dataclass(frozen=True)
-class Budget:
-    """Resource guard for enumerations; exceeding raises, never truncates.
-
-    ``max_facets`` caps the facets ``MorseComplex.facets()`` lists and also
-    the faces ``MorseComplex.faces()`` (and so ``as_complex()``)
-    materialises; ``max_seconds`` bounds each enumeration and search.
-    """
-
-    max_facets: int = 1_000_000
-    max_seconds: float = 60.0
-
-    def deadline(self) -> float:
-        return time.monotonic() + self.max_seconds
-
-
-DEFAULT_BUDGET = Budget()
-
-
-def _check_deadline(deadline: float, what: str):
-    if time.monotonic() > deadline:
-        raise EnumerationBudgetError(f"time budget exceeded while {what}")
 
 
 class RegularPair(NamedTuple):
@@ -619,46 +594,92 @@ class MorseComplex:
         target used as a source by the layer above (``need``).  Addable
         covers share no cell with the matching, so that depends on the
         matching's avail alone, and whether a matching fits a state
-        (blocked, need) depends on its source mask alone: each state tests
-        each source group once.  In the last layer nothing lies above, so a
-        matching closes a facet iff its avail lies within the covers from
-        blocked sources.
+        (blocked, need) depends on its source mask alone.  In the last layer
+        nothing lies above, so a matching closes a facet iff its avail lies
+        within the covers from blocked sources.
 
-        lister() yields facets as sorted global cover id tuples; never called
-        when count exceeds the facet budget.
+        Of a state, only the test ``need`` within the source mask reads
+        ``need``.  So each (layer, blocked) gets one view: the covers still
+        free there, and the source groups disjoint from ``blocked``, each
+        with its total, the number of facet completions through its members.
+        A total depends on (layer, blocked, source mask) alone: in the last
+        layer it is the number of members that close a facet, known when the
+        view is built (groups with none are dropped); below it, the sum of
+        the members' states one layer up, filled in when a state first
+        selects the group, so exactly the states reached from (0, 0, 0) are
+        counted.  A state's count is the sum of the totals of the view's
+        groups whose source mask contains ``need``.  The pending targets of
+        a member, the targets of its free avail, are read through per-layer
+        byte tables, built only for layers with a layer above.
+
+        lister() yields facets as sorted global cover id tuples, walking the
+        same views and pruning groups and members with no completion; never
+        called when count exceeds the facet budget.
         """
         deadline = budget.deadline()
         blocks, sbit, tbit = self._layers()
         ks = sorted(blocks)
         cap = max(10 * budget.max_facets, 10 ** 6)
-        layers = []
+        layers = [self._layer_matchings(blocks[k], sbit, tbit, deadline, cap) for k in ks]
+        last = len(ks) - 1
         from_source = []
         for k in ks:
-            groups = self._layer_matchings(blocks[k], sbit, tbit, deadline, cap)
-            layers.append(groups)
             covers: dict[int, int] = {}
             for c in blocks[k]:
                 covers[sbit[c]] = covers.get(sbit[c], 0) | 1 << c
             from_source.append(covers)
-        last = len(ks) - 1
+        # per layer below the last: its first cover, and per byte of its
+        # block the union of the target bits of each subset of that byte
+        tables = []
+        for k in ks[:-1]:
+            block = blocks[k]
+            byte_tables = []
+            for lo in range(block.start, block.stop, 8):
+                tab = [0]
+                for c in range(lo, min(lo + 8, block.stop)):
+                    tab += [t | tbit[c] for t in tab]
+                byte_tables.append(tab)
+            tables.append((block.start, byte_tables))
 
-        def ruled_out(ki: int, blocked: int) -> int:
-            """Covers of layer ki whose source is a target below."""
-            covers = from_source[ki]
-            out = 0
-            while blocked:
-                b = blocked & -blocked
-                blocked ^= b
-                out |= covers.get(b, 0)
-            return out
-
-        def pending(avail: int) -> int:
+        def pending(ki: int, avail: int) -> int:
+            lo, byte_tables = tables[ki]
+            avail >>= lo
             need = 0
-            while avail:
-                b = avail & -avail
-                avail ^= b
-                need |= tbit[b.bit_length() - 1]
+            for tab in byte_tables:
+                need |= tab[avail & 255]
+                avail >>= 8
             return need
+
+        views: list[dict[int, tuple[int, list[list]]]] = [{} for _ in ks]
+
+        def view(ki: int, blocked: int) -> tuple[int, list[list]]:
+            """(free covers, [[source mask, members, total or None], ...])."""
+            got = views[ki].get(blocked)
+            if got is not None:
+                return got
+            covers = from_source[ki]
+            ruled = 0
+            rest = blocked
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                ruled |= covers.get(b, 0)
+            free = ~ruled
+            entries = []
+            for sm, members in layers[ki].items():
+                if sm & blocked:
+                    continue
+                if ki == last:
+                    closing = 0
+                    for _, _, avail in members:
+                        if not avail & free:
+                            closing += 1
+                    if closing:
+                        entries.append([sm, members, closing])
+                else:
+                    entries.append([sm, members, None])
+            got = views[ki][blocked] = (free, entries)
+            return got
 
         memo: dict[tuple[int, int, int], int] = {}
 
@@ -668,18 +689,30 @@ class MorseComplex:
             if got is not None:
                 return got
             _check_deadline(deadline, "counting facets")
-            free = ~ruled_out(ki, blocked)
+            free, entries = view(ki, blocked)
             total = 0
-            for sm, members in layers[ki].items():
-                if sm & blocked or need & ~sm:
+            for entry in entries:
+                sm, members, group_total = entry
+                if need & ~sm:
                     continue
-                if ki == last:
-                    for _, _, avail in members:
-                        if not avail & free:
-                            total += 1
-                else:
+                if group_total is None:
+                    # pending() and the memo lookup inlined: this loop runs
+                    # once per member of every selected group
+                    up = ki + 1
+                    lo, byte_tables = tables[ki]
+                    group_total = 0
                     for _, tm, avail in members:
-                        total += count(ki + 1, tm, pending(avail & free))
+                        avail = (avail & free) >> lo
+                        pend = 0
+                        for tab in byte_tables:
+                            pend |= tab[avail & 255]
+                            avail >>= 8
+                        got = memo.get((up, tm, pend))
+                        if got is None:
+                            got = count(up, tm, pend)
+                        group_total += got
+                    entry[2] = group_total
+                total += group_total
             memo[key] = total
             return total
 
@@ -690,16 +723,16 @@ class MorseComplex:
 
             def rec(ki: int, blocked: int, need: int, prefix: tuple[int, ...]):
                 _check_deadline(out_deadline, "listing facets")
-                free = ~ruled_out(ki, blocked)
-                for sm, members in layers[ki].items():
-                    if sm & blocked or need & ~sm:
+                free, entries = view(ki, blocked)
+                for sm, members, group_total in entries:
+                    if need & ~sm or not group_total:
                         continue
                     for ids, tm, avail in members:
                         if ki == last:
                             if not avail & free:
                                 yield prefix + ids
                             continue
-                        pend = pending(avail & free)
+                        pend = pending(ki, avail & free)
                         if count(ki + 1, tm, pend):
                             yield from rec(ki + 1, tm, pend, prefix + ids)
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional
 
+from .budget import Budget
 from .complexes import SimplicialComplex, is_boundary_simplex
 from .corpus import (boundary_simplex, connected_complexes, connected_graphs,
                      connected_multigraphs, cycle_graph, full_simplex,
@@ -20,7 +21,7 @@ from .errors import MorseError
 from .forests import forest_identity_holds
 from .invariants import greedy_collapse, invariants
 from .isomorphism import find_isomorphism, find_multigraph_isomorphism
-from .morse import (Budget, is_acyclic, is_matching, minimal_gradient_cycles,
+from .morse import (is_acyclic, is_matching, minimal_gradient_cycles,
                     morse_complex, primitive_pairs)
 from .reconstruction import (MorseIso, detect_index_anomaly,
                              find_morse_isomorphism, parallel_by_definition,

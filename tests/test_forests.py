@@ -2,9 +2,12 @@
 
 import hashlib
 
-from morsecomplex import morse_complex
+import pytest
+
+from morsecomplex import Budget, morse_complex
 from morsecomplex.corpus import (complete_graph, connected_graphs, cycle_graph,
                                  path_graph, star_graph)
+from morsecomplex.errors import EnumerationBudgetError
 from morsecomplex.forests import (DirectedGraph, arrow_name, directed_forest_complex,
                                   double, forest_identity_holds, morse_arrow_labels)
 
@@ -70,3 +73,10 @@ def test_forest_complexes_of_doubles_pinned():
         h.update(repr((F.labels, sorted(F.simplices))).encode())
     assert h.hexdigest() == (
         "e59eff50615ab2c2287e0051aa263b3ec5f0b17ea82624524453bd785370e514")
+
+
+def test_forest_complex_time_budget_error():
+    # the double of K7 has 262,143 forests, so the listing reaches a
+    # deadline check and must stop on the expired budget
+    with pytest.raises(EnumerationBudgetError, match="directed forests"):
+        directed_forest_complex(double(complete_graph(7)), Budget(max_seconds=0))

@@ -1,5 +1,6 @@
 """Hasse diagrams, matchings, acyclicity and Morse complex enumeration."""
 
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -276,6 +277,13 @@ def test_time_budget_error():
         M.facets()
 
 
+def test_facet_count_time_budget_error():
+    # counting alone, without a listing, must stop on the expired budget
+    M = morse_complex(full_simplex("abcde"), Budget(max_seconds=0.0))
+    with pytest.raises(EnumerationBudgetError):
+        M.facet_count()
+
+
 def test_circuit_search_time_budget_error():
     # K7's chordless-circuit search takes more than 4096 steps, so it reaches
     # a deadline check and must stop on the expired budget
@@ -317,6 +325,20 @@ def test_facet_count_of_complete_graphs_is_cayley():
 def test_facet_count_of_full_4_simplex():
     # the number given in the paper
     assert morse_complex(full_simplex("abcde")).facet_count() == 16_369_045
+
+
+def test_facet_counts_and_listings_pinned():
+    # every count of both exhaustive corpora, and each listing of at most
+    # 100,000 facets: a faster facet engine must reproduce them exactly
+    h = hashlib.sha256()
+    for X in connected_complexes(5) + connected_multigraphs(4, 3):
+        M = morse_complex(X)
+        n = M.facet_count()
+        h.update(repr(n).encode() + b"\n")
+        if n <= 100_000:
+            h.update(repr(M.facets()).encode() + b"\n")
+    assert h.hexdigest() == (
+        "b5c97e3d25d180ab7cc618e6b59cde21ea2230400b757c16f3395c3f542fde7f")
 
 
 def check_extendable_sets(M):
@@ -379,8 +401,8 @@ def test_pair_arcs_equal_quadratic_definition():
 
 
 def test_morse_does_not_import_isomorphism():
-    # the isomorphism search reads its deadline from morse's Budget, so morse
-    # must not import isomorphism back; the package is stubbed so that its
+    # the isomorphism search imports morse for MorseComplex, so morse must
+    # not import isomorphism back; the package is stubbed so that its
     # __init__, which imports every module, stays out of the way
     import os
     import subprocess

@@ -506,7 +506,9 @@ def _relabelled_multigraph(G, rng):
     triples = [(f"f{e}", vmap[G.labels[u]], vmap[G.labels[v]])
                for e, (u, v) in zip(G.edge_ids, G.boundary)]
     rng.shuffle(triples)
-    return Multigraph.from_edges(triples)
+    H = Multigraph.from_edges(triples, isolated=image)
+    assert H.n_vertices == G.n_vertices
+    return H
 
 
 def twin_classes(n: int, family: Iterable[frozenset[int]],
