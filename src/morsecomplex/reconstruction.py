@@ -2,15 +2,16 @@
 
 Given a simplicial isomorphism F between Morse complexes, these operations
 produce an explicit isomorphism of the underlying objects: simple graphs via
-the source-vertex formula f(v) = source(F(v, e)), multigraphs via quotients
-(read off the minimal non-faces of the Morse complexes, never off their
-faces) and parallel-class counting, and general complexes by extending the
-graph case skeleton by skeleton.  The graph step of a complex reads the
-formula off F's own index-0 pairs: M(K^1) is the full subcomplex of M(K) on
-them, so F restricted there is already validated and no Morse complex of a
-1-skeleton is built.  Every step the theory guarantees is re-checked at run
-time; a failed check raises TheoremContradictionError rather than returning
-a wrong map.
+the source-vertex formula f(v) = source(F(v, e)), multigraphs via the same
+formula plus parallel-class counting for the edges, and general complexes by
+extending the graph case skeleton by skeleton.  Every route reads the formula
+off F's own index-0 pairs.  For a complex, M(K^1) is the full subcomplex of
+M(K) on them, so F restricted there is already validated and no Morse complex
+of a 1-skeleton is built.  For a multigraph, the quotient by parallel pairs
+(read off the minimal non-faces, never off the faces) keeps each pair's
+source, so no Morse complex of a simplification is built.  Every step the
+theory guarantees is re-checked at run time; a failed check raises
+TheoremContradictionError rather than returning a wrong map.
 
 The one exceptional family: an isomorphism may move index-0 pairs to higher
 index only when both complexes are the boundary of a simplex, where every
@@ -31,7 +32,7 @@ from .errors import (HypothesisViolationError, InvalidIsomorphismError,
                      TheoremContradictionError)
 from .isomorphism import (find_isomorphism, find_multigraph_isomorphism,
                           multigraph_edge_map)
-from .morse import MorseComplex, RegularPair, morse_complex
+from .morse import MorseComplex, RegularPair
 
 
 class MorseIso:
@@ -203,14 +204,6 @@ def quotient(K: SimplicialComplex) -> QuotientComplex:
     return QuotientComplex(tuple(classes), SimplicialComplex.closure(faces), projection)
 
 
-def _quotient_classes(M: MorseComplex) -> list[tuple[int, ...]]:
-    """Classes of ``M.quotient_map()`` as pair-index tuples, least first."""
-    groups: dict[int, list[int]] = {}
-    for i, r in enumerate(M.quotient_map()):
-        groups.setdefault(r, []).append(i)
-    return [tuple(g) for g in groups.values()]
-
-
 def induced_quotient_iso(f: Union["MorseIso", VertexBijection],
                          K: Optional[SimplicialComplex] = None,
                          L: Optional[SimplicialComplex] = None) -> VertexBijection:
@@ -251,8 +244,11 @@ def _induced_morse_quotient_iso(F: MorseIso) -> VertexBijection:
     M_K, M_L = F.M_K, F.M_L
     rep_L = M_L.quotient_map()
     size_L = Counter(rep_L)
+    groups: dict[int, list[int]] = {}
+    for i, r in enumerate(M_K.quotient_map()):
+        groups.setdefault(r, []).append(i)
     forward = {}
-    for cls in _quotient_classes(M_K):
+    for cls in groups.values():
         image_reps = {rep_L[M_L.index_of_pair(F(M_K.pairs[i]))] for i in cls}
         if len(image_reps) != 1:
             raise TheoremContradictionError(
@@ -292,8 +288,9 @@ def _require_graph(K: SimplicialComplex, name: str):
 
 def _source_formula(F: MorseIso) -> VertexBijection:
     """The vertex map f(v) = source(F(v, e)) read off the index-0 pairs of F,
-    which F keeps at index 0 when it has no index anomaly.  The independence
-    from the chosen edge is verified, as is injectivity."""
+    which F keeps at index 0 when it has no index anomaly; every pair of a
+    multigraph is one (vertex, edge) at index 0.  The independence from the
+    chosen edge is verified, as is injectivity."""
     by_source: dict[str, list[RegularPair]] = {}
     for p in F.M_K.pairs:
         if p.index == 0:
@@ -433,66 +430,34 @@ def reconstruct_complex_iso(F: MorseIso) -> VertexBijection:
 def reconstruct_multigraph_iso(F: MorseIso) -> tuple[VertexBijection, dict[str, str]]:
     """Explicit multigraph isomorphism from an isomorphism of Morse complexes.
 
-    Route: quotient both Morse complexes (classes are the parallel classes of
-    pairs, the classes of ``quotient_map()`` on the minimal non-faces; no
-    face of either Morse complex is materialised), transport F to
-    the simplifications, reconstruct the simple-graph isomorphism there,
-    then verify that all parallel-class sizes agree.  The edge bijection is
-    lexicographic within each class.  The Morse complexes of the
-    simplifications are built under the budgets of F's own Morse complexes.
+    Route: each vertex goes to the source of the image of any of its pairs,
+    the formula of the simple-graph case.  It holds for F itself because the
+    quotient by parallel pairs keeps each pair's source, so no Morse complex
+    of a simplification is built.  Bundles on at most two vertices are forced
+    by counting, and a simplification that is a cycle takes the least vertex
+    map keeping every parallel-class size.  The edge bijection is
+    lexicographic within each class; its class-size check, with equal vertex
+    and edge counts, verifies the pair of maps as a multigraph isomorphism.
     """
     G, H = F.M_K.source, F.M_L.source
     if not isinstance(G, Multigraph) or not isinstance(H, Multigraph):
         raise HypothesisViolationError("multigraph reconstruction expects multigraphs")
     if not G.is_connected() or not H.is_connected():
         raise HypothesisViolationError("both multigraphs must be connected")
+    if H.n_vertices != G.n_vertices or H.n_edges != G.n_edges:
+        raise TheoremContradictionError("pair counts force equal vertex and edge counts")
 
     if G.n_vertices <= 2:
         # bundles of parallel edges: the quotient identification needs three
         # vertices, but here the Morse complex is discrete and everything is
         # forced by counting
-        if H.n_vertices != G.n_vertices or H.n_edges != G.n_edges:
-            raise TheoremContradictionError("pair counts force equal vertex and edge counts")
         bij = VertexBijection(dict(zip(G.labels, H.labels)))
         edge_map = dict(zip(G.edge_ids, H.edge_ids))
         return bij, edge_map
 
-    sG, emap_G = simplify(G)
-    sH, emap_H = simplify(H)
-    M_sG = morse_complex(sG, F.M_K.budget)
-    M_sH = morse_complex(sH, F.M_L.budget)
-
-    # quotient of M(G) -> pairs of M(sG): the class of (v, e) is read off the
-    # merged edge; well-definedness rides on the parallel-pair characterization
-    f_tilde = induced_quotient_iso(F)
-
-    def class_to_simple_pair(M: MorseComplex, emap):
-        out = {}
-        for cls in _quotient_classes(M):
-            pairs = [M.pairs[i] for i in cls]
-            simple = {RegularPair(p.source, emap[p.target[0]], 0) for p in pairs}
-            if len(simple) != 1:
-                raise TheoremContradictionError(
-                    f"quotient class {tuple(M.pair_ids[i] for i in cls)} does not "
-                    "correspond to one simplified pair")
-            out[M.pair_ids[cls[0]]] = simple.pop()
-        if len(set(out.values())) != len(out):
-            raise TheoremContradictionError("quotient classes and simplified pairs do not biject")
-        return out
-
-    rep_to_sG = class_to_simple_pair(F.M_K, emap_G)
-    rep_to_sH = class_to_simple_pair(F.M_L, emap_H)
-    forward = {}
-    for rep, p in rep_to_sG.items():
-        forward[p] = rep_to_sH[f_tilde(rep)]
-    try:
-        F_bar = MorseIso(M_sG, M_sH, forward)
-    except InvalidIsomorphismError as e:
-        raise TheoremContradictionError(
-            f"transported map on simplifications is not an isomorphism: {e}") from e
-
+    sG = simplify(G)[0]
     if sG.cycle_length() is not None:
-        if reconstruct_cycle(sG, sH) is None:
+        if reconstruct_cycle(sG, simplify(H)[0]) is None:
             raise TheoremContradictionError("simplified cycle must map to an equal cycle")
         # the pointwise formula is unavailable on a cycle: take the least
         # vertex map keeping every parallel-class size
@@ -502,7 +467,6 @@ def reconstruct_multigraph_iso(F: MorseIso) -> tuple[VertexBijection, dict[str, 
                 "no cycle isomorphism preserves the parallel-class sizes")
         f = found[0]
     else:
-        f = reconstruct_graph_iso(F_bar)
+        f = _source_formula(F)
 
     return f, multigraph_edge_map(G, H, f)
-

@@ -20,7 +20,8 @@ from .corpus import (boundary_simplex, connected_complexes, connected_graphs,
 from .errors import MorseError
 from .forests import forest_identity_holds
 from .invariants import greedy_collapse, invariants
-from .isomorphism import find_isomorphism, find_multigraph_isomorphism
+from .isomorphism import (all_isomorphisms, find_isomorphism,
+                          find_multigraph_isomorphism)
 from .morse import (is_acyclic, is_matching, minimal_gradient_cycles,
                     morse_complex, primitive_pairs)
 from .reconstruction import (MorseIso, detect_index_anomaly,
@@ -182,15 +183,22 @@ def criterion_complex_determination(max_vertices: int = 5, budget: Optional[Budg
                 raise CriterionFailure(
                     f"Morse complexes of non-isomorphic members {i}, {j} are isomorphic")
         for i, K in enumerate(corpus):
-            F = find_morse_isomorphism(morse[i], morse[i])
-            if F is None:
-                raise CriterionFailure(f"no automorphism found for member {i}")
-            f = reconstruct_complex_iso(F)
-            if not f.is_simplicial_isomorphism(K, K):
-                raise CriterionFailure(
-                    f"reconstruction of member {i} is not an isomorphism")
-            if detect_index_anomaly(F) is not None:
-                amb += 1
+            M = morse[i]
+            if is_boundary_simplex(K) is None:
+                automorphisms = [find_morse_isomorphism(M, M)]
+            else:
+                # only here may an automorphism move index-0 pairs: take all
+                automorphisms = [MorseIso.from_vertex_bijection(M, M, a)
+                                 for a in all_isomorphisms(M, M)]
+            for F in automorphisms:
+                if F is None:
+                    raise CriterionFailure(f"no automorphism found for member {i}")
+                f = reconstruct_complex_iso(F)
+                if not f.is_simplicial_isomorphism(K, K):
+                    raise CriterionFailure(
+                        f"reconstruction of member {i} is not an isomorphism")
+                if detect_index_anomaly(F) is not None:
+                    amb += 1
         return (f"{len(corpus)} complexes: Morse iso <=> complex iso on all pairs; "
                 f"all {len(corpus)} reconstructions verified "
                 f"({amb} anomalous automorphisms encountered)")

@@ -1,11 +1,14 @@
 """Command-line behaviour: outputs, determinism and the exit-code contract."""
 
+import hashlib
 import random
 
 import pytest
 
 from morsecomplex.cli import main
-from morsecomplex.corpus import path_graph, permuted_copy
+from morsecomplex.complexes import Multigraph
+from morsecomplex.corpus import connected_multigraphs, path_graph, permuted_copy
+from morsecomplex.reconstruction import simplify
 
 
 def write(tmp_path, name, text):
@@ -142,6 +145,43 @@ def test_reconstruct_multigraphs(tmp_path, capsys):
     code, out, _ = run(capsys, "reconstruct", a, b)
     assert code == 0
     assert any("->" in line for line in out.splitlines())
+
+
+def test_reconstruct_multigraph_stdout_pinned(tmp_path, capsys):
+    # the printed vertex and edge maps on relabelled, line-shuffled files: the
+    # 2-vertex bundles, every member whose simplification is a cycle, the
+    # theta graph and 20 seeded other members
+    rng = random.Random(1509)
+    corpus = [G for G in connected_multigraphs(4, 3) if G.n_edges]
+    special = [G.n_vertices == 2 or simplify(G)[0].cycle_length() is not None
+               for G in corpus]
+    theta = Multigraph.from_edges(
+        [("e1", "u", "v"), ("e2", "u", "v"), ("e3", "u", "v"), ("e4", "v", "w")])
+    others = rng.sample([G for G, s in zip(corpus, special) if not s], 20)
+    inputs = [G for G, s in zip(corpus, special) if s] + [theta] + others
+    h = hashlib.sha256()
+    for k, G in enumerate(inputs):
+        image = [f"x{i}" for i in range(G.n_vertices)]
+        rng.shuffle(image)
+        vmap = dict(zip(G.labels, image))
+        ids = [f"g{i}" for i in range(G.n_edges)]
+        rng.shuffle(ids)
+        lines_a, lines_b = [], []
+        for e, g, (u, v) in zip(G.edge_ids, ids, G.boundary):
+            lines_a.append(f"edge {e} {G.labels[u]} {G.labels[v]}\n")
+            ends = [vmap[G.labels[u]], vmap[G.labels[v]]]
+            rng.shuffle(ends)
+            lines_b.append(f"edge {g} {ends[0]} {ends[1]}\n")
+        rng.shuffle(lines_a)
+        rng.shuffle(lines_b)
+        a = write(tmp_path, f"a{k}.mg", "".join(lines_a))
+        b = write(tmp_path, f"b{k}.mg", "".join(lines_b))
+        code, out, err = run(capsys, "reconstruct", a, b)
+        assert (code, err) == (0, "")
+        h.update(out.encode())
+    assert len(inputs) == 21 + sum(special)
+    assert h.hexdigest() == (
+        "9100e73a489d5448704bc9ff9a2b9ee8898aaa64779120687d46f486427918cd")
 
 
 def test_kozlov_ok(tmp_path, capsys):

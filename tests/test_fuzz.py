@@ -1,7 +1,9 @@
 """Seeded fuzzing of the command line's exit-code contract.
 
 ``main()`` runs in-process on random bytes, random complex and multigraph
-files and random flags, every time budget at most 0.5 s.  Each run must exit
+files and random flags, every time budget at most 0.5 s.  A second batch
+gives ``iso`` and ``reconstruct`` a relabelled, line-shuffled copy of the
+first file as the second, so that they reach exit 0 too.  Each run must exit
 0-5; a non-zero exit leaves stdout empty and writes exactly one stderr line;
 running the same arguments again gives the same exit code and stdout.  The
 driver records violations instead of asserting, so that it checks the same
@@ -20,6 +22,7 @@ from morsecomplex.cli import main
 
 SEED = 2015
 CASES = 120
+COPIED_CASES = 60
 LABELS = "abcdeuvw"
 
 
@@ -66,6 +69,28 @@ def _flags(rng):
     return out
 
 
+def _relabelled_copy(text, rng):
+    """The same file under one random renaming of its labels and edge ids,
+    with comments dropped, lines shuffled and the labels of each simplex or
+    edge reordered."""
+    heads = ("edge", "vertex", "loop")
+    rows = [raw.split("#", 1)[0].split() for raw in text.splitlines()]
+    names = sorted({w for words in rows for w in words} - set(heads))
+    image = [f"x{i}" for i in range(len(names))]
+    rng.shuffle(image)
+    rename = dict(zip(names, image))
+    lines = []
+    for words in rows:
+        words = [rename.get(w, w) for w in words]
+        if words[:1] == ["edge"] and len(words) == 4:
+            words[2:] = rng.sample(words[2:], 2)
+        elif not words or words[0] not in heads:
+            rng.shuffle(words)
+        lines.append(" ".join(words) + "\n")
+    rng.shuffle(lines)
+    return "".join(lines)
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -73,21 +98,23 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def fuzz_contract(workdir):
-    """Violations of the exit-code contract, as readable lines."""
+def _write(workdir, name, data):
+    path = os.path.join(workdir, name)
+    with open(path, "wb") as fh:
+        fh.write(data if isinstance(data, bytes) else data.encode())
+    return path
+
+
+def _random_cases(workdir):
     rng = random.Random(SEED)
     makers = (_random_bytes, _complex_text, _complex_text, _multigraph_text,
               _multigraph_text)
-    violations = []
     for case in range(CASES):
         paths = []
         maker = rng.choice(makers)
         for j in range(2):
             data = (maker if rng.random() < 0.9 else rng.choice(makers))(rng)
-            path = os.path.join(workdir, f"case{case}-{j}.txt")
-            with open(path, "wb") as fh:
-                fh.write(data if isinstance(data, bytes) else data.encode())
-            paths.append(path)
+            paths.append(_write(workdir, f"case{case}-{j}.txt", data))
         if rng.random() < 0.05:
             paths[0] = os.path.join(workdir, "missing.txt")
         command = rng.choice(["build", "stats", "iso", "reconstruct", "kozlov"])
@@ -95,6 +122,23 @@ def fuzz_contract(workdir):
         argv = [command, *files, *_flags(rng)]
         if rng.random() < 0.03:
             argv = argv[:1]  # a usage error: the file is missing
+        yield argv
+
+
+def _copied_cases(workdir):
+    rng = random.Random(SEED + 1)
+    for case in range(COPIED_CASES):
+        text = rng.choice((_complex_text, _multigraph_text))(rng)
+        paths = [_write(workdir, f"copy{case}-0.txt", text),
+                 _write(workdir, f"copy{case}-1.txt", _relabelled_copy(text, rng))]
+        yield [rng.choice(["iso", "reconstruct"]), *paths, *_flags(rng)]
+
+
+def fuzz_contract(workdir):
+    """Violations of the exit-code contract, as readable lines."""
+    violations = []
+    succeeded = set()
+    for argv in [*_random_cases(workdir), *_copied_cases(workdir)]:
         code, out, err = _run(argv)
         if code not in range(6):
             violations.append(f"{argv}: exit {code}")
@@ -103,6 +147,10 @@ def fuzz_contract(workdir):
         again = _run(argv)
         if again[:2] != (code, out):
             violations.append(f"{argv}: rerun gave exit {again[0]}, other stdout")
+        if code == 0:
+            succeeded.add(argv[0])
+    if not {"iso", "reconstruct"} <= succeeded:
+        violations.append(f"only {sorted(succeeded)} ever exited 0")
     return violations
 
 

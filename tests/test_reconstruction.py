@@ -310,21 +310,31 @@ def test_reconstruct_relabelled_complexes():
 
 
 def test_complex_reconstruction_builds_no_morse_complex(monkeypatch):
-    # the graph step reads F's index-0 pairs; it builds no M(K^1)
+    # the vertex map is read off F's index-0 pairs: neither route builds a
+    # Morse complex (of a 1-skeleton or a simplification) or a second MorseIso
     import morsecomplex.morse as morse
+    import morsecomplex.reconstruction as reconstruction
     K = closure([["a", "b", "c"], ["c", "d"], ["d", "e", "f"], ["b", "f"]])
     Kp, _ = permuted_copy(K, random.Random(5))
-    F = find_morse_isomorphism(morse_complex(K), morse_complex(Kp))
+    G = Multigraph.from_edges(
+        [("e1", "u", "v"), ("e2", "u", "v"), ("e3", "u", "v"), ("e4", "v", "w")])
+    H = _relabelled_multigraph(G, random.Random(5))
+    F_K = find_morse_isomorphism(morse_complex(K), morse_complex(Kp))
+    F_G = find_morse_isomorphism(morse_complex(G), morse_complex(H))
     built = []
-    init = morse.MorseComplex.__init__
 
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
+    def counting(init):
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+        return counting_init
 
-    monkeypatch.setattr(morse.MorseComplex, "__init__", counting_init)
-    f = reconstruct_complex_iso(F)
+    for cls in (morse.MorseComplex, reconstruction.MorseIso):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    f = reconstruct_complex_iso(F_K)
     assert f.is_simplicial_isomorphism(K, Kp)
+    f, emap = reconstruct_multigraph_iso(F_G)
+    assert emap == multigraph_edge_map(G, H, f)
     assert built == []
 
 
@@ -352,6 +362,25 @@ def test_reconstruction_maps_pinned():
             line((f.items(), sorted(emap.items())))
     assert h.hexdigest() == (
         "8ebd68641278ecc62f329fc7357523711118c5cb09314f737331d074b51e5d84")
+
+
+def test_multigraph_reconstruction_pinned_on_automorphisms():
+    # the maps returned for up to eight automorphisms of every member, where
+    # test_reconstruction_maps_pinned sees one isomorphism per member
+    from morsecomplex.corpus import connected_multigraphs
+    h = hashlib.sha256()
+    n_maps = 0
+    for G in connected_multigraphs(4, 3):
+        if G.n_edges:
+            M = morse_complex(G)
+            for a in all_isomorphisms(M, M, limit=8):
+                f, emap = reconstruct_multigraph_iso(MorseIso.from_vertex_bijection(M, M, a))
+                h.update(repr((f.items(), sorted(emap.items()))).encode())
+                h.update(b"\n")
+                n_maps += 1
+    assert n_maps == 2106
+    assert h.hexdigest() == (
+        "d0e4b28b4ecbf2aeb7b5741a47e045ea5ceb8fd74f51951a64f7fd49332746e9")
 
 
 def test_reconstruct_cycle_complex():
