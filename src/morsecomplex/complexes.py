@@ -235,7 +235,7 @@ class SimplicialComplex:
 class Multigraph:
     """Finite multigraph: labelled vertices, identified parallel edges, no loops."""
 
-    __slots__ = ("labels", "edge_ids", "boundary", "_index", "_eindex")
+    __slots__ = ("labels", "edge_ids", "boundary", "_index", "_eindex", "_connected")
 
     def __init__(self, labels: tuple[str, ...], edge_ids: tuple[str, ...],
                  boundary: tuple[tuple[int, int], ...]):
@@ -253,6 +253,7 @@ class Multigraph:
         self.boundary = boundary
         self._index = {lab: i for i, lab in enumerate(labels)}
         self._eindex = {e: i for i, e in enumerate(edge_ids)}
+        self._connected: Optional[bool] = None  # filled on first use
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[str, str, str]],
@@ -306,7 +307,9 @@ class Multigraph:
         return len(set(self.boundary)) == len(self.boundary)
 
     def is_connected(self) -> bool:
-        return len(set(union_find(len(self.labels), self.boundary))) == 1
+        if self._connected is None:
+            self._connected = len(set(union_find(len(self.labels), self.boundary))) == 1
+        return self._connected
 
     def multiplicity(self, u: str, v: str) -> int:
         return len(self.edges_between(u, v))

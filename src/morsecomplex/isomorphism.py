@@ -14,15 +14,22 @@ of its ends are assigned.
 
 The search assigns vertices in canonical label order and tries candidates in
 ascending order, so the first witness found is the lexicographically least
-one.  Iterated partition refinement over incidence profiles colours both
-sides first; a round re-keys only the sets and vertices its last splits
-touched.  Then each vertex of A keeps a domain: a bitmask of the vertices
-of B it may still map to, which starts as its colour class (Ullmann's
-bit-vector domains, J. Exp. Algorithmics 15, 2010).  Assigning v -> w removes
-w from every later domain and intersects it with the 2-set neighbourhood of w
-where the later vertex is a 2-set neighbour of v, else with its complement.
-A domain left with one vertex forces it and filters the others the same way;
-an emptied domain rejects w.  Each set of A is checked when its largest
+one.  Each family is indexed once: its member tuples, the sets through each
+vertex, the 2-set neighbourhoods and the members' bitmasks, against which
+every image is checked.  Iterated partition refinement over incidence
+profiles colours both sides first; a round re-keys only the sets and
+vertices its last splits touched.  Then each vertex of A keeps a domain: a
+bitmask of the vertices of B it may still map to, which starts as its colour
+class (Ullmann's bit-vector domains, J. Exp. Algorithmics 15, 2010).
+Assigning v -> w removes w from every later domain and intersects it with
+the 2-set neighbourhood of w where the later vertex is a 2-set neighbour of
+v, else with its complement.  A domain left with one vertex forces it and
+filters the others the same way; an emptied domain rejects w.  The filtering
+is sparse: per vertex of B the search keeps its holders, the vertices of A
+whose domain contains it, so forcing t -> w visits only t's later
+neighbours and the holders of w and of its neighbours, the only domains it
+can change; and a vertex forced by an earlier assignment is not propagated
+again when its own depth comes.  Each set of A is checked when its largest
 vertex is assigned; the families have equal size, so a bijection passing
 every check maps one onto the other.  Domains only cut subtrees that yield
 nothing, so the bijections found, their order and the lexicographically
@@ -30,10 +37,9 @@ least witness are exactly those of the plain backtracking search.
 The search runs on an explicit stack, so its depth (the vertex count) is not
 bounded by the interpreter's recursion limit, and under a ``Budget``
 deadline, checked once per refinement round, at every search node and at
-every forced assignment: Morse
-complexes carry their own budgets and a search between two of them runs
-under the tighter; anything else gets the default.  Intended for desk-scale
-inputs, exact always.
+every forced assignment: Morse complexes carry their own budgets and a
+search between two of them runs under the tighter; anything else gets the
+default.  Intended for desk-scale inputs, exact always.
 """
 
 from __future__ import annotations
@@ -56,19 +62,38 @@ def _iso_structure(obj) -> tuple[tuple[str, ...], list[frozenset[int]]]:
     raise TypeError(f"cannot search isomorphisms of {type(obj).__name__}")
 
 
-def _incidence(n: int, family: Iterable[frozenset[int]]) -> list[list[frozenset[int]]]:
-    """Per vertex, the sets of the family containing it."""
-    inc: list[list[frozenset[int]]] = [[] for _ in range(n)]
+def _index(n: int, family: Iterable[frozenset[int]]
+           ) -> tuple[list[tuple[int, ...]], list[list[int]], list[int], dict[int, int]]:
+    """A family indexed once: its distinct members as tuples, per vertex the
+    ids of the sets through it and its 2-set neighbourhood as a bitmask, and
+    each member's bitmask mapped to its id."""
+    ids: dict[int, int] = {}
+    sets: list[tuple[int, ...]] = []
+    rows: list[list[int]] = [[] for _ in range(n)]
+    nbr = [0] * n
     for S in family:
-        for v in S:
-            inc[v].append(S)
-    return inc
+        mask = 0
+        for u in S:
+            mask |= 1 << u
+        if mask in ids:
+            continue
+        ids[mask] = len(sets)
+        members = tuple(S)
+        for u in members:
+            rows[u].append(len(sets))
+        sets.append(members)
+        if len(members) == 2:
+            x, y = members
+            nbr[x] |= 1 << y
+            nbr[y] |= 1 << x
+    return sets, rows, nbr, ids
 
 
-def _refine(n_a: int, inc_a: list[list[frozenset[int]]],
-            n_b: int, inc_b: list[list[frozenset[int]]],
+def _refine(sets_a: list[tuple[int, ...]], rows_a: list[list[int]],
+            sets_b: list[tuple[int, ...]], rows_b: list[list[int]],
             deadline: float) -> Optional[tuple[list[int], list[int]]]:
-    """Joint iterated refinement on incidence lists; None if the colour
+    """Joint iterated refinement of two indexed families (member tuples and
+    per-vertex set ids, as ``_index`` gives them); None if the colour
     histograms ever disagree.  Checks the deadline once per round.
 
     A round splits each class by its vertices' multisets of set keys, a set's
@@ -80,16 +105,12 @@ def _refine(n_a: int, inc_a: list[list[frozenset[int]]],
     of re-splitting every class; colours are numbered by first appearance,
     A before B.
     """
-    if n_a != n_b:
+    n_a = len(rows_a)
+    if n_a != len(rows_b):
         return None
-    sets: list[tuple[int, ...]] = []
-    rows: list[list[int]] = []
-    for offset, inc in ((0, inc_a), (n_a, inc_b)):
-        index: dict[frozenset[int], int] = {}
-        base = len(sets)
-        rows += [[base + index.setdefault(S, len(index)) for S in row] for row in inc]
-        sets += [tuple([offset + u for u in S]) for S in index]
-    n = n_a + n_b
+    sets = sets_a + [tuple([n_a + u for u in S]) for S in sets_b]
+    rows = rows_a + [[len(sets_a) + i for i in row] for row in rows_b]
+    n = len(rows)
     col = [0] * n
     members = {0: set(range(n))}  # class id -> its vertices
     from_a = {0: n_a}  # class id -> how many of its vertices are A's
@@ -166,31 +187,19 @@ def set_family_isomorphisms(n_a: int, fams_a: list[frozenset[int]],
         if fams_a == fams_b == []:
             yield ()
         return
-    fam_a_set = set(fams_a)
-    fam_b_set = set(fams_b)
-    if len(fam_a_set) != len(fam_b_set):
+    sets_a, rows_a, nbr_a, _ = _index(n_a, fams_a)
+    sets_b, rows_b, nbr_b, masks_b = _index(n_b, fams_b)
+    if len(sets_a) != len(sets_b):
         return
-    inc_a = _incidence(n_a, fam_a_set)
-    inc_b = _incidence(n_b, fam_b_set)
-    refined = _refine(n_a, inc_a, n_b, inc_b, deadline)
+    refined = _refine(sets_a, rows_a, sets_b, rows_b, deadline)
     if refined is None:
         return
     col_a, col_b = refined
 
-    # 2-set neighbourhoods as bitmasks
-    nbr_a = [0] * n_a
-    nbr_b = [0] * n_b
-    for nbr, fam in ((nbr_a, fam_a_set), (nbr_b, fam_b_set)):
-        for S in fam:
-            if len(S) == 2:
-                x, y = S
-                nbr[x] |= 1 << y
-                nbr[y] |= 1 << x
-
     # A is assigned in order, so a set of A becomes fully assigned exactly
     # when its largest member is
-    closing_a: list[list[frozenset[int]]] = [[] for _ in range(n_a)]
-    for S in fam_a_set:
+    closing_a: list[list[tuple[int, ...]]] = [[] for _ in range(n_a)]
+    for S in sets_a:
         if S:
             closing_a[max(S)].append(S)
 
@@ -199,69 +208,122 @@ def set_family_isomorphisms(n_a: int, fams_a: list[frozenset[int]],
             raise EnumerationBudgetError(
                 f"time budget exceeded while searching isomorphisms (depth {depth} of {n_a})")
 
-    def assign(dom: list[int], v: int, w: int) -> Optional[list[int]]:
-        """The domains after v -> w and every assignment it forces, or None
+    def assign(state, v: int, w: int):
+        """The state after v -> w and every assignment it forces, or None
         when a domain empties."""
+        dom, hold, done = state
         dom = dom[:]
+        hold = hold[:]
         dom[v] = 1 << w
+        later = -2 << v
         forced = [v]
         for t in forced:
             check_time(v)
             bit = dom[t]
             inside = nbr_b[bit.bit_length() - 1]
-            outside = ~(inside | bit)
-            adj = nbr_a[t]
-            for u in range(v + 1, n_a):
+            adj = nbr_a[t] & later
+            # the later non-neighbours of t lose t's image and its
+            # neighbours: only their holders can change
+            rest = later & ~adj & ~(1 << t)
+            hit = 0
+            f = inside | bit
+            while f:
+                b = f & -f
+                f ^= b
+                y = b.bit_length() - 1
+                h = hold[y]
+                if h & rest:
+                    hit |= h
+                    hold[y] = h & ~rest
+            # the later neighbours of t keep only neighbours of its image
+            lost = 0
+            f = adj
+            while f:
+                b = f & -f
+                f ^= b
+                u = b.bit_length() - 1
                 d = dom[u]
-                new = d & (inside if adj >> u & 1 else outside)
-                if new != d and u != t:
+                new = d & inside
+                if new != d:
                     if not new:
                         return None
                     dom[u] = new
+                    lost |= d
                     if not new & (new - 1):
                         forced.append(u)
-        return dom
+            lost &= ~inside
+            while lost:
+                b = lost & -lost
+                lost ^= b
+                hold[b.bit_length() - 1] &= ~adj
+            keep = ~(inside | bit)
+            f = hit & rest
+            while f:
+                b = f & -f
+                f ^= b
+                u = b.bit_length() - 1
+                new = dom[u] & keep
+                if not new:
+                    return None
+                dom[u] = new
+                if not new & (new - 1):
+                    forced.append(u)
+        for t in forced:
+            done |= 1 << t
+        return dom, hold, done
 
-    def verify(image: tuple[int, ...]) -> bool:
-        return {frozenset([image[u] for u in S]) for S in fam_a_set} == fam_b_set
+    def image_mask(S: tuple[int, ...]) -> int:
+        mask = 0
+        for u in S:
+            mask |= 1 << fwd[u]
+        return mask
 
-    # a domain starts as the vertex's colour class
-    colour_b: dict[int, int] = {}
-    for w in range(n_b):
-        colour_b[col_b[w]] = colour_b.get(col_b[w], 0) | 1 << w
+    def verify() -> bool:
+        return {image_mask(S) for S in sets_a} == masks_b.keys()
+
+    # a domain starts as the vertex's colour class, and each vertex of B is
+    # held by the vertices of A whose domain contains it
+    class_a: dict[int, int] = {}
+    class_b: dict[int, int] = {}
+    for cls, col in ((class_a, col_a), (class_b, col_b)):
+        for v, c in enumerate(col):
+            cls[c] = cls.get(c, 0) | 1 << v
 
     # depth-first over v = 0..n_a-1 on an explicit stack: per depth, the
-    # domains before v is assigned and the candidates for v not yet tried
-    doms: list[list[int]] = [[colour_b[c] for c in col_a]] + [[]] * n_a
+    # state before v is assigned (the domains, their holders and the vertices
+    # whose assignment is already propagated) and the candidates for v not
+    # yet tried; a propagated vertex has one candidate and nothing to filter
+    states: list = [([class_b[c] for c in col_a], [class_a[c] for c in col_b], 0)]
+    states += [None] * n_a
     untried = [0] * n_a
-    untried[0] = doms[0][0]
+    untried[0] = states[0][0][0]
     fwd = [0] * n_a
     v = 0
     while v >= 0:
         check_time(v)
         if v == n_a:
-            image = tuple(fwd)
-            if verify(image):
-                yield image
+            if verify():
+                yield tuple(fwd)
             v -= 1
             continue
+        state = states[v]
         cand = untried[v]
         while cand:
             w = (cand & -cand).bit_length() - 1
             cand &= cand - 1
             fwd[v] = w
-            if all(frozenset([fwd[u] for u in S]) in fam_b_set for S in closing_a[v]):
-                dom = assign(doms[v], v, w)
-                if dom is not None:
+            if all(image_mask(S) in masks_b for S in closing_a[v]):
+                after = state if state[2] >> v & 1 else assign(state, v, w)
+                if after is not None:
                     break
         else:
             v -= 1
             continue
         untried[v] = cand
         v += 1
-        doms[v] = dom
+        states[v] = after
         if v < n_a:
-            untried[v] = dom[v]
+            untried[v] = after[0][v]
 
 
 def _search_budget(K, L) -> Budget:

@@ -434,9 +434,15 @@ class MorseComplex:
         for s in range(n):
             if not cyclic >> s & 1:
                 continue
-            stack = [((s,), 1 << s)]
+            # circuits from their least pair s; a path carries its pairs, the
+            # pairs conflicting with one of them, the arcs out of all but its
+            # last pair and the arcs into all but its first, so an extension
+            # is any later pair reached from the last one that none of these
+            # excludes: no conflict and no chord to or from the path
+            later = cyclic >> s << s
+            stack = [((s,), 1 << s, conflict[s], 0, 0)]
             while stack:
-                path, mask = stack.pop()
+                path, mask, clash, outs, ins = stack.pop()
                 steps += 1
                 if steps % 4096 == 0:
                     _check_deadline(deadline, "enumerating gradient circuits")
@@ -444,18 +450,14 @@ class MorseComplex:
                 if len(path) >= 2 and (arc[u] >> s) & 1:
                     out.append(frozenset(path))
                     continue  # extending would leave the chord u -> start
-                f = arc[u] & cyclic & ~mask
+                outs_u = outs | arc[u]
+                f = arc[u] & later & ~(mask | clash | outs | ins)
                 while f:
                     b = f & -f
                     f ^= b
                     v = b.bit_length() - 1
-                    if v < s or conflict[v] & mask:
-                        continue
-                    if rev[v] & (mask & ~(1 << u)):
-                        continue
-                    if arc[v] & (mask & ~(1 << s)):
-                        continue
-                    stack.append((path + (v,), mask | b))
+                    stack.append((path + (v,), mask | b, clash | conflict[v],
+                                  outs_u, ins | rev[v]))
         return out
 
     def iso_structure(self) -> tuple[tuple[str, ...], list[frozenset[int]]]:

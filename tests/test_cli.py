@@ -7,7 +7,7 @@ import pytest
 
 from morsecomplex.cli import main
 from morsecomplex.complexes import Multigraph
-from morsecomplex.corpus import connected_multigraphs, path_graph, permuted_copy
+from morsecomplex.corpus import connected_multigraphs, cycle_graph, permuted_copy
 from morsecomplex.reconstruction import simplify
 
 
@@ -51,14 +51,16 @@ def test_build_budget_exit(tmp_path, capsys):
 
 
 def test_reconstruct_search_budget_exit(tmp_path, capsys):
-    # a relabelled path whose isomorphism search runs for some 5 s
-    P = path_graph(1500)
-    Q, _ = permuted_copy(P, random.Random(0))
+    # two relabellings of a cycle whose isomorphism search runs for some 2.5 s
+    C = cycle_graph(1000)
+    P, _ = permuted_copy(C, random.Random(1))
+    Q, _ = permuted_copy(C, random.Random(0))
     files = [write(tmp_path, name, "".join(" ".join(K.to_labels(f)) + "\n" for f in K.facets()))
              for name, K in (("p.cx", P), ("q.cx", Q))]
     code, out, err = run(capsys, "reconstruct", *files, "--budget-seconds", "0.5")
     assert (code, out) == (2, "")
     assert err.startswith("budget exceeded: ") and len(err.splitlines()) == 1
+    assert "searching isomorphisms" in err
 
 
 def test_budget_seconds_env_var(tmp_path, capsys, monkeypatch):

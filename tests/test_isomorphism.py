@@ -137,13 +137,34 @@ def _small_morse_families():
     return out
 
 
+def _marker_families():
+    """The marker encodings of the multigraphs of ``connected_multigraphs(4, 3)``
+    with two or three edge multiplicities, built as the module docstring
+    describes them: the chain {c1}, {c1, c2}, ... and one 3-set per parallel
+    class."""
+    from morsecomplex.corpus import connected_multigraphs
+    out = []
+    for G in connected_multigraphs(4, 3):
+        classes = G.parallel_classes()
+        mults = sorted({len(es) for es in classes.values()})
+        k = len(mults)
+        if k < 2:
+            continue
+        fam = [frozenset(range(c + 1)) for c in range(k)]
+        fam += [frozenset((mults.index(len(es)), k + u, k + v))
+                for (u, v), es in classes.items()]
+        out.append((k + G.n_vertices, fam))
+    return out
+
+
 def test_set_family_isomorphisms_equal_brute_force_in_order():
     # the domain-pruned search yields exactly the filtered permutations, in
-    # lexicographic order, also towards a relabelled copy
+    # lexicographic order, also towards a relabelled copy, on Morse complexes
+    # and on the chain sets and 3-sets of multigraph marker encodings
     from itertools import permutations
     from morsecomplex.isomorphism import set_family_isomorphisms
     rng = random.Random(4)
-    for n, fam in _small_morse_families():
+    for n, fam in _small_morse_families() + _marker_families():
         perm = list(range(n))
         rng.shuffle(perm)
         for target in (fam, [frozenset(perm[i] for i in S) for S in fam]):
@@ -153,6 +174,15 @@ def test_set_family_isomorphisms_equal_brute_force_in_order():
                      if all(frozenset(img[i] for i in S) in target_set for S in fam)]
             assert list(set_family_isomorphisms(n, fam, n, target)) == brute
             assert brute
+
+
+def _incidence(n, family):
+    """Per vertex, the sets of the family containing it."""
+    inc = [[] for _ in range(n)]
+    for S in family:
+        for v in S:
+            inc[v].append(S)
+    return inc
 
 
 def _refine_by_definition(n_a, inc_a, n_b, inc_b):
@@ -187,7 +217,7 @@ def test_refine_equals_signature_definition():
     # against a seeded relabelling, and so do the rejections
     from morsecomplex import morse_complex
     from morsecomplex.corpus import connected_multigraphs
-    from morsecomplex.isomorphism import _incidence, _refine
+    from morsecomplex.isomorphism import _index, _refine
     deadline = Budget().deadline()
     rng = random.Random(9)
     sources = list(connected_complexes(5)) + list(connected_multigraphs(4, 3))
@@ -200,14 +230,13 @@ def test_refine_equals_signature_definition():
         perm = list(range(n))
         rng.shuffle(perm)
         for other in (fam, {frozenset(perm[v] for v in S) for S in fam}):
-            args = (n, _incidence(n, fam), n, _incidence(n, other))
-            assert _refine(*args, deadline) == _refine_by_definition(*args)
+            got = _refine(*_index(n, fam)[:2], *_index(n, other)[:2], deadline)
+            assert got == _refine_by_definition(n, _incidence(n, fam), n, _incidence(n, other))
     n_rejected = 0
     for n, fams in families.items():
         for fam, other in zip(fams, fams[1:4]):
-            args = (n, _incidence(n, fam), n, _incidence(n, other))
-            got = _refine(*args, deadline)
-            assert got == _refine_by_definition(*args)
+            got = _refine(*_index(n, fam)[:2], *_index(n, other)[:2], deadline)
+            assert got == _refine_by_definition(n, _incidence(n, fam), n, _incidence(n, other))
             n_rejected += got is None
     assert n_rejected
 
@@ -235,29 +264,34 @@ def test_long_multigraph_path_search_needs_no_recursion(shallow_stack):
 
 
 def test_search_stops_at_the_tighter_budget():
-    # a relabelled path's only symmetry is the reflection; the search over
-    # its 2,998 pairs takes some 5 s, and the deadline stops it
-    P = path_graph(1500)
-    Q, _ = permuted_copy(P, random.Random(0))
+    # all pairs of a cycle share one colour class, so every forced pair
+    # filters every later domain: the search between two relabellings of a
+    # 1,000-cycle, over 2,000 pairs, takes some 2.5 s, and the deadline
+    # stops it
+    C = cycle_graph(1000)
+    P, _ = permuted_copy(C, random.Random(1))
+    Q, _ = permuted_copy(C, random.Random(0))
     M_P, M_Q = morse_complex(P), morse_complex(Q, Budget(max_seconds=0.5))
     for A, B in ((M_P, M_Q), (M_Q, M_P)):
         start = time.monotonic()
         with pytest.raises(EnumerationBudgetError,
                            match=r"searching isomorphisms "
-                                 r"\((depth \d+ of 2998|refinement round \d+)\)"):
+                                 r"\((depth \d+ of 2000|refinement round \d+)\)"):
             find_isomorphism(A, B)
         assert time.monotonic() - start < 2
 
 
 def test_long_relabelled_path_reconstructs_in_budget():
-    # singleton domains force their vertices; without that this search
-    # runs past the budget
-    from morsecomplex.reconstruction import MorseIso, find_morse_isomorphism
-    P = path_graph(200)
+    # singleton domains force their vertices, and forcing filters only the
+    # domains it can change; without either this search runs past the budget
+    from morsecomplex.reconstruction import (MorseIso, find_morse_isomorphism,
+                                             reconstruct_complex_iso)
+    P = path_graph(3000)
     Q, _ = permuted_copy(P, random.Random(0))
     F = find_morse_isomorphism(morse_complex(P, Budget(max_seconds=5)),
                                morse_complex(Q, Budget(max_seconds=5)))
     assert isinstance(F, MorseIso)
+    assert reconstruct_complex_iso(F).is_simplicial_isomorphism(P, Q)
 
 
 def test_positive_searches_leave_no_reference_cycles():

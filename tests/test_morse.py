@@ -13,7 +13,8 @@ from morsecomplex.complexes import union_find
 from morsecomplex.corpus import (boundary_simplex, complete_graph,
                                  connected_complexes, connected_graphs,
                                  connected_multigraphs, cycle_graph,
-                                 full_simplex, path_graph, star_graph)
+                                 full_simplex, graph_from_edges, path_graph,
+                                 star_graph)
 from morsecomplex.errors import EnumerationBudgetError, MalformedInputError
 from morsecomplex.verify import brute_force_morse_facets
 
@@ -423,3 +424,26 @@ def test_morse_does_not_import_isomorphism():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+def _grid(rows, cols):
+    """The rows x cols grid graph."""
+    def at(r, c):
+        return r * cols + c
+    edges = [(at(r, c), at(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+    edges += [(at(r, c), at(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+    return graph_from_edges(rows * cols, edges)
+
+
+def test_minimal_nonfaces_pinned_in_order():
+    # the non-faces of both exhaustive corpora, a path, a grid and a ladder,
+    # in the order returned: the isomorphism search and the quotient read
+    # them in this order, so a faster circuit enumeration must keep it
+    h = hashlib.sha256()
+    sources = list(connected_complexes(5) + connected_multigraphs(4, 3))
+    sources += [path_graph(80), _grid(5, 5), _grid(2, 10)]
+    for X in sources:
+        nonfaces = morse_complex(X).minimal_nonfaces()
+        h.update(repr([sorted(S) for S in nonfaces]).encode() + b"\n")
+    assert h.hexdigest() == (
+        "864228354a4ba14325d57a52cac831eef5bcd999e07f2b0e9c48b9f06b1c63f7")

@@ -155,6 +155,32 @@ def test_parallel_pairs_hypothesis():
         parallel_pairs(M.pairs[0], M.pairs[1], M)
 
 
+def test_parallel_pairs_check_connectivity_once(monkeypatch):
+    # the multigraph is immutable, so its connectivity is computed on first
+    # use; the hypothesis is still checked, and refused, on every call
+    import morsecomplex.complexes as complexes
+    union_find = complexes.union_find
+    runs = []
+
+    def counting_union_find(n, edges):
+        runs.append(n)
+        return union_find(n, edges)
+
+    monkeypatch.setattr(complexes, "union_find", counting_union_find)
+    G = Multigraph.from_edges(
+        [("e1", "u", "v"), ("e2", "u", "v"), ("e3", "v", "w"), ("e4", "u", "w")])
+    M = morse_complex(G)
+    for p, q in combinations(M.pairs, 2):
+        assert parallel_pairs(p, q, M) == parallel_by_definition(p, q, G)
+    assert runs == [3]
+    apart = morse_complex(Multigraph.from_edges(
+        [("e1", "u", "v"), ("e2", "u", "v"), ("e3", "w", "x")]))
+    for _ in range(3):
+        with pytest.raises(HypothesisViolationError):
+            parallel_pairs(apart.pairs[0], apart.pairs[1], apart)
+    assert runs == [3, 4]
+
+
 # -- graph reconstruction ------------------------------------------------------
 
 def test_reconstruct_star_from_brute_forced_iso():
