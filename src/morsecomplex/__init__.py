@@ -12,17 +12,43 @@ from .forests import (DirectedGraph, directed_forest_complex, double,
                       forest_identity_holds)
 from .invariants import InvariantReport, betti_mod2, greedy_collapse, invariants
 from .isomorphism import all_isomorphisms, find_isomorphism, find_multigraph_isomorphism
-from .morse import (GradientPath, HasseDiagram, MorseComplex,
-                    RegularPair, adjacent_cycles, compatible, critical_cells,
-                    gradient_cycles, hasse, is_acyclic, is_matching,
-                    minimal_gradient_cycles, morse_complex, primitive_pairs)
+from .morse import (HasseDiagram, MorseComplex, RegularPair, hasse, is_acyclic,
+                    is_matching, minimal_gradient_cycles, morse_complex,
+                    primitive_pairs)
 from .reconstruction import (AnomalyWitness, MorseIso, QuotientComplex,
                              detect_index_anomaly, find_morse_isomorphism,
-                             induced_quotient_iso, parallel_by_definition,
-                             parallel_pairs, quotient, reconstruct_complex_iso,
-                             reconstruct_cycle, reconstruct_graph_iso,
-                             reconstruct_multigraph_iso, simplify)
+                             parallel_by_definition, parallel_pairs, quotient,
+                             reconstruct_complex_iso, reconstruct_cycle,
+                             reconstruct_graph_iso, reconstruct_multigraph_iso,
+                             simplify)
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # budget
+    "Budget",
+    # complexes
+    "Multigraph", "SimplicialComplex", "VertexBijection", "closure",
+    "immediate_faces", "is_boundary_simplex", "is_connected", "link",
+    "multigraph_is_connected", "skeleton",
+    # errors
+    "EnumerationBudgetError", "HypothesisViolationError",
+    "InvalidIsomorphismError", "MalformedInputError", "MorseError",
+    "NotAFaceError", "ParseError", "TheoremContradictionError",
+    # forests
+    "DirectedGraph", "directed_forest_complex", "double",
+    "forest_identity_holds",
+    # invariants
+    "InvariantReport", "betti_mod2", "greedy_collapse", "invariants",
+    # isomorphism
+    "all_isomorphisms", "find_isomorphism", "find_multigraph_isomorphism",
+    # morse
+    "HasseDiagram", "MorseComplex", "RegularPair", "hasse", "is_acyclic",
+    "is_matching", "minimal_gradient_cycles", "morse_complex",
+    "primitive_pairs",
+    # reconstruction
+    "AnomalyWitness", "MorseIso", "QuotientComplex", "detect_index_anomaly",
+    "find_morse_isomorphism", "parallel_by_definition", "parallel_pairs",
+    "quotient", "reconstruct_complex_iso", "reconstruct_cycle",
+    "reconstruct_graph_iso", "reconstruct_multigraph_iso", "simplify",
+]

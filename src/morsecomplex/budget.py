@@ -6,10 +6,11 @@ forest-complex oracle can run under it without importing ``morse``.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
-from .errors import EnumerationBudgetError
+from .errors import EnumerationBudgetError, MalformedInputError
 
 
 @dataclass(frozen=True)
@@ -23,6 +24,12 @@ class Budget:
 
     max_facets: int = 1_000_000
     max_seconds: float = 60.0
+
+    def __post_init__(self):
+        # a NaN deadline compares False with every clock reading, which
+        # would switch every deadline check off
+        if math.isnan(self.max_seconds):
+            raise MalformedInputError("max_seconds must be a number, not NaN")
 
     def deadline(self) -> float:
         return time.monotonic() + self.max_seconds

@@ -208,11 +208,14 @@ class SimplicialComplex:
         if self.dim != 1 or not self.is_connected():
             return None
         n = self.n_vertices
-        if n < 3 or len(self.edges()) != n:
+        if n < 3:
             return None
-        if all(self.degree(v) == 2 for v in range(n)):
-            return n
-        return None
+        deg = [0] * n
+        for s in self.simplices:
+            if len(s) == 2:
+                deg[s[0]] += 1
+                deg[s[1]] += 1
+        return n if all(d == 2 for d in deg) else None
 
     # -- equality and display ---------------------------------------------
 

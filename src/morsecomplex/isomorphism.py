@@ -3,14 +3,13 @@
 There is one engine, ``set_family_isomorphisms``: it decides whether two
 finite set families (over labelled vertex sets) are related by a vertex
 bijection mapping one family onto the other.  A simplicial complex is handled
-through its facet family; objects that expose ``iso_structure()`` (notably
-Morse complexes, which are far too large to materialise) supply their own
-defining family instead.  A multigraph becomes a plain set family too: one
-marker vertex per distinct edge multiplicity, numbered before the
-multigraph's vertices and pinned by the chain {c1}, {c1, c2}, ..., and one
-set {c_rank(m), u, v} per parallel class of multiplicity m on (u, v).  The
-markers come first, so each class's multiplicity is checked as soon as both
-of its ends are assigned.
+through its facet family, a Morse complex (far too large to materialise)
+through its minimal non-faces; the two are never compared with each other.
+A multigraph becomes a plain set family too: one marker vertex per distinct
+edge multiplicity, numbered before the multigraph's vertices and pinned by
+the chain {c1}, {c1, c2}, ..., and one set {c_rank(m), u, v} per parallel
+class of multiplicity m on (u, v).  The markers come first, so each class's
+multiplicity is checked as soon as both of its ends are assigned.
 
 The search assigns vertices in canonical label order and tries candidates in
 ascending order, so the first witness found is the lexicographically least
@@ -38,8 +37,8 @@ The search runs on an explicit stack, so its depth (the vertex count) is not
 bounded by the interpreter's recursion limit, and under a ``Budget``
 deadline, checked once per refinement round, at every search node and at
 every forced assignment: Morse complexes carry their own budgets and a
-search between two of them runs under the tighter; anything else gets the
-default.  Intended for desk-scale inputs, exact always.
+search between two of them runs under the tighter; simplicial complexes get
+the default.  Intended for desk-scale inputs, exact always.
 """
 
 from __future__ import annotations
@@ -54,9 +53,12 @@ from .morse import MorseComplex
 
 
 def _iso_structure(obj) -> tuple[tuple[str, ...], list[frozenset[int]]]:
-    """(labels, defining family) of an object, by which isomorphism is decided."""
-    if hasattr(obj, "iso_structure"):
-        return obj.iso_structure()
+    """(labels, defining family) of an object, by which isomorphism is
+    decided: a Morse complex's pair ids and minimal non-faces, which
+    determine it without materialising its (possibly enormous) facet list,
+    or a simplicial complex's vertex labels and facets."""
+    if isinstance(obj, MorseComplex):
+        return obj.pair_ids, obj.minimal_nonfaces()
     if isinstance(obj, SimplicialComplex):
         return obj.labels, [frozenset(f) for f in obj.facets()]
     raise TypeError(f"cannot search isomorphisms of {type(obj).__name__}")
@@ -326,10 +328,17 @@ def set_family_isomorphisms(n_a: int, fams_a: list[frozenset[int]],
             untried[v] = after[0][v]
 
 
-def _search_budget(K, L) -> Budget:
-    """The tighter budget of K and L where they are Morse complexes, else the default."""
-    budgets = [X.budget for X in (K, L) if isinstance(X, MorseComplex)]
-    return min(budgets, key=lambda b: b.max_seconds, default=DEFAULT_BUDGET)
+def _search_inputs(K, L):
+    """Both sides' ``_iso_structure`` and the budget the search runs under:
+    the tighter of two Morse complexes' budgets, else the default.  Raises
+    TypeError when K and L are of different kinds, whose defining families
+    (minimal non-faces against facets) are not comparable."""
+    if isinstance(K, MorseComplex) != isinstance(L, MorseComplex):
+        raise TypeError(f"cannot search isomorphisms between a {type(K).__name__} "
+                        f"and a {type(L).__name__}")
+    budget = (min(K.budget, L.budget, key=lambda b: b.max_seconds)
+              if isinstance(K, MorseComplex) else DEFAULT_BUDGET)
+    return _iso_structure(K), _iso_structure(L), budget
 
 
 def _certificate(labels, fams):
@@ -339,21 +348,21 @@ def _certificate(labels, fams):
 def find_isomorphism(K, L) -> Optional[VertexBijection]:
     """A vertex bijection inducing an isomorphism, or None.
 
-    Accepts simplicial complexes (decided on facet families) and any object
-    exposing ``iso_structure()``.  The search runs from the side with the
+    Accepts two simplicial complexes (decided on facet families) or two
+    Morse complexes (decided on minimal non-faces); TypeError for anything
+    else, a mixed pair included.  The search runs from the side with the
     smaller structure certificate, each side's computed once, and returns the
     lexicographically least witness there, inverted when that side is L; so
     the two directions always agree.  Raises EnumerationBudgetError when the
     search outlasts the tighter budget of two Morse complexes (the default
-    budget for other objects).
+    budget for simplicial complexes).
     """
-    labels_a, fams_a = _iso_structure(K)
-    labels_b, fams_b = _iso_structure(L)
+    (labels_a, fams_a), (labels_b, fams_b), budget = _search_inputs(K, L)
     backwards = _certificate(labels_b, fams_b) < _certificate(labels_a, fams_a)
     if backwards:
         labels_a, fams_a, labels_b, fams_b = labels_b, fams_b, labels_a, fams_a
     for image in set_family_isomorphisms(len(labels_a), fams_a, len(labels_b), fams_b,
-                                         budget=_search_budget(K, L)):
+                                         budget=budget):
         bij = VertexBijection({labels_a[v]: labels_b[w] for v, w in enumerate(image)})
         return bij.inverse() if backwards else bij
     return None
@@ -361,11 +370,10 @@ def find_isomorphism(K, L) -> Optional[VertexBijection]:
 
 def all_isomorphisms(K, L, limit: Optional[int] = None) -> list[VertexBijection]:
     """Every isomorphism K -> L in lexicographic order (optionally capped)."""
-    labels_a, fams_a = _iso_structure(K)
-    labels_b, fams_b = _iso_structure(L)
+    (labels_a, fams_a), (labels_b, fams_b), budget = _search_inputs(K, L)
     out = []
     for image in set_family_isomorphisms(len(labels_a), fams_a, len(labels_b), fams_b,
-                                         budget=_search_budget(K, L)):
+                                         budget=budget):
         out.append(VertexBijection({labels_a[v]: labels_b[w] for v, w in enumerate(image)}))
         if limit is not None and len(out) >= limit:
             break

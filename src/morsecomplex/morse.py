@@ -54,15 +54,6 @@ class RegularPair(NamedTuple):
         return f"({','.join(self.source)} -> {','.join(self.target)})"
 
 
-class GradientPath(NamedTuple):
-    """A closed gradient path: same-index pairs, each source an immediate
-    face of the previous target."""
-
-    index: int
-    steps: tuple[RegularPair, ...]
-    closed: bool
-
-
 class HasseDiagram:
     """Cover relations of the face poset, in canonical order.
 
@@ -199,53 +190,6 @@ def is_acyclic(pairs: Iterable[RegularPair], G: Optional[Multigraph] = None) -> 
                 color[i] = 2
                 stack.pop()
     return True
-
-
-def compatible(p: RegularPair, q: RegularPair, G: Optional[Multigraph] = None) -> bool:
-    """True iff {p, q} is an acyclic matching, i.e. an edge of the Morse complex."""
-    if not is_matching([p, q]):
-        return False
-    return is_acyclic([p, q], G)
-
-
-def critical_cells(obj: Source, pairs: Iterable[RegularPair]) -> list[tuple[int, tuple[str, ...]]]:
-    """Cells of the complex not used by any pair, as (dim, name)."""
-    used = set()
-    for p in pairs:
-        a, b = p.cells()
-        used.add(a)
-        used.add(b)
-    return [c for c in hasse(obj).cells if c not in used]
-
-
-def gradient_cycles(pairs: Iterable[RegularPair],
-                    G: Optional[Multigraph] = None) -> list[GradientPath]:
-    """All closed non-stationary gradient paths within a pair set.
-
-    Gradient paths live inside a discrete vector field, so only cycles whose
-    pairs form a matching count; the set itself need not be one.  Cycles are
-    elementary (no pair repeats), rotated to start at their least pair and
-    sorted canonically.
-    """
-    pairs = sorted(set(pairs))
-    arcs = _pair_arcs(pairs, G)
-    cells = [set(p.cells()) for p in pairs]
-    cycles = []
-    n = len(pairs)
-    for start in range(n):
-        stack = [([start], 1 << start, set(cells[start]))]
-        while stack:
-            path, mask, used = stack.pop()
-            u = path[-1]
-            for v in arcs[u]:
-                if v == start and len(path) >= 2:
-                    cycles.append(tuple(path))
-                elif v > start and not (mask >> v) & 1 and not (cells[v] & used):
-                    stack.append((path + [v], mask | (1 << v), used | cells[v]))
-    out = [GradientPath(pairs[c[0]].index, tuple(pairs[i] for i in c), True)
-           for c in cycles]
-    out.sort(key=lambda gp: (gp.index, gp.steps))
-    return out
 
 
 # -- the Morse complex -------------------------------------------------------
@@ -459,12 +403,6 @@ class MorseComplex:
                     stack.append((path + (v,), mask | b, clash | conflict[v],
                                   outs_u, ins | rev[v]))
         return out
-
-    def iso_structure(self) -> tuple[tuple[str, ...], list[frozenset[int]]]:
-        """Vertex labels plus the family of minimal non-faces, which determine
-        the complex exactly; used by find_isomorphism without materialising
-        the (possibly enormous) facet list."""
-        return self.pair_ids, self.minimal_nonfaces()
 
     # -- the quotient by non-adjacent pairs with equal links -------------------
 
@@ -909,7 +847,3 @@ def minimal_gradient_cycles(M: MorseComplex) -> list[tuple[RegularPair, ...]]:
     out.sort()
     return out
 
-
-def adjacent_cycles(c1: Iterable[RegularPair], c2: Iterable[RegularPair]) -> bool:
-    """Two minimal gradient cycles are adjacent when they share exactly one pair."""
-    return len(set(c1) & set(c2)) == 1

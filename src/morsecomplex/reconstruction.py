@@ -21,10 +21,9 @@ that route.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .complexes import (Multigraph, SimplicialComplex, VertexBijection,
                         is_boundary_simplex, union_find)
@@ -93,10 +92,6 @@ class MorseIso:
 
     def inverse_of(self, pair: RegularPair) -> RegularPair:
         return self.backward[pair]
-
-    def as_pair_id_bijection(self) -> VertexBijection:
-        return VertexBijection({self.M_K.id_of_pair(p): self.M_L.id_of_pair(q)
-                                for p, q in self.forward.items()})
 
     def __repr__(self):
         return f"MorseIso<{self.M_K.n_pairs} pairs>"
@@ -204,66 +199,6 @@ def quotient(K: SimplicialComplex) -> QuotientComplex:
     return QuotientComplex(tuple(classes), SimplicialComplex.closure(faces), projection)
 
 
-def induced_quotient_iso(f: Union["MorseIso", VertexBijection],
-                         K: Optional[SimplicialComplex] = None,
-                         L: Optional[SimplicialComplex] = None) -> VertexBijection:
-    """Push an isomorphism K -> L down to the quotients.
-
-    Accepts a MorseIso, whose quotient classes come from ``quotient_map()``
-    (computed on minimal non-faces) and are named by their least pair ids,
-    or a plain vertex bijection with explicit complexes K and L supplied.
-    The well-definedness of the induced map is checked, not assumed.
-    """
-    if isinstance(f, MorseIso):
-        return _induced_morse_quotient_iso(f)
-    if K is None or L is None:
-        raise HypothesisViolationError(
-            "induced_quotient_iso needs K and L for a plain vertex bijection")
-    if not f.is_simplicial_isomorphism(K, L):
-        raise InvalidIsomorphismError("map is not a simplicial isomorphism in both directions")
-    QK = quotient(K)
-    QL = quotient(L)
-    forward = {}
-    for cls in QK.classes:
-        image_reps = {QL.projection[f(lab)] for lab in cls}
-        if len(image_reps) != 1:
-            raise TheoremContradictionError(
-                f"induced quotient map is not well-defined on class {cls}")
-        forward[QK.projection[cls[0]]] = image_reps.pop()
-    bij = VertexBijection(forward)
-    if not bij.is_simplicial_isomorphism(QK.quotient, QL.quotient):
-        raise TheoremContradictionError("induced quotient map is not an isomorphism")
-    return bij
-
-
-def _induced_morse_quotient_iso(F: MorseIso) -> VertexBijection:
-    """The MorseIso form of induced_quotient_iso.  F is validated and the
-    relation is intrinsic to a Morse complex, so a well-defined map that
-    carries classes bijectively onto classes of equal size is a quotient
-    isomorphism; those conditions are what is checked."""
-    M_K, M_L = F.M_K, F.M_L
-    rep_L = M_L.quotient_map()
-    size_L = Counter(rep_L)
-    groups: dict[int, list[int]] = {}
-    for i, r in enumerate(M_K.quotient_map()):
-        groups.setdefault(r, []).append(i)
-    forward = {}
-    for cls in groups.values():
-        image_reps = {rep_L[M_L.index_of_pair(F(M_K.pairs[i]))] for i in cls}
-        if len(image_reps) != 1:
-            raise TheoremContradictionError(
-                "induced quotient map is not well-defined on class "
-                f"{tuple(M_K.pair_ids[i] for i in cls)}")
-        r = image_reps.pop()
-        if size_L[r] != len(cls):
-            raise TheoremContradictionError(
-                f"the class of {M_K.pair_ids[cls[0]]} maps onto a class of another size")
-        forward[M_K.pair_ids[cls[0]]] = M_L.pair_ids[r]
-    if len(set(forward.values())) != len(forward):
-        raise TheoremContradictionError("induced quotient map is not a bijection of classes")
-    return VertexBijection(forward)
-
-
 def simplify(G: Multigraph) -> tuple[SimplicialComplex, dict[str, tuple[str, str]]]:
     """Identify parallel edges: the simple graph on the same vertices, plus the
     map sending each edge id to its merged edge (as a sorted label pair)."""
@@ -341,17 +276,12 @@ def reconstruct_graph_iso(F: MorseIso) -> VertexBijection:
 
 def reconstruct_cycle(G: SimplicialComplex, H: SimplicialComplex) -> Optional[int]:
     """Confirm by counting invariants that a graph Morse-equivalent to the
-    n-cycle is the n-cycle: same vertex and edge counts, no leaves."""
+    n-cycle is the n-cycle: a connected graph with n vertices, n edges and
+    no leaf has every degree 2, which is what ``cycle_length`` checks."""
     n = G.cycle_length()
     if n is None:
         raise HypothesisViolationError("reconstruct_cycle expects a cycle as first input")
-    if H.dim > 1 or not H.is_connected():
-        return None
-    if H.n_vertices != n or len(H.edges()) != n:
-        return None
-    if any(H.degree(v) == 1 for v in range(H.n_vertices)):
-        return None
-    return n
+    return n if H.cycle_length() == n else None
 
 
 # -- full reconstruction -----------------------------------------------------

@@ -1,7 +1,10 @@
 """Core complex and multigraph representation tests."""
 
+import types
+
 import pytest
 
+import morsecomplex
 from morsecomplex import (Multigraph, SimplicialComplex, VertexBijection,
                           closure, immediate_faces, is_boundary_simplex,
                           is_connected, link, multigraph_is_connected, skeleton)
@@ -163,3 +166,9 @@ def test_constructors_reject_malformed_tables():
         Multigraph(("a", "b"), ("e1",), ((1, 0),))
     with pytest.raises(MalformedInputError):
         Multigraph(("a", "b"), ("e1", "e2"), ((0, 1),))
+
+
+def test_public_names_resolve_and_are_not_modules():
+    assert len(set(morsecomplex.__all__)) == len(morsecomplex.__all__)
+    for name in morsecomplex.__all__:
+        assert not isinstance(getattr(morsecomplex, name), types.ModuleType), name

@@ -8,8 +8,8 @@ larger than the power-set oracle can reach.
 
 from itertools import combinations
 
-from morsecomplex import (Budget, HasseDiagram, Multigraph, compatible,
-                          is_acyclic, is_matching, morse_complex)
+from morsecomplex import (Budget, HasseDiagram, Multigraph, is_acyclic,
+                          is_matching, morse_complex)
 from morsecomplex.corpus import (connected_complexes, connected_graphs,
                                  connected_multigraphs, full_simplex)
 
@@ -133,14 +133,16 @@ def test_faces_match_standalone_predicates():
 
 
 def test_compatibility_adjacency_matches_standalone_predicate():
-    # the mask formula against compatible(); the multigraphs carry 2-cycles
+    # the mask formula against the standalone predicates; the multigraphs
+    # carry 2-cycles
     sources = [(K, None) for K in connected_complexes(4)]
     sources += [(G, G) for G in connected_multigraphs(4, 3)]
     for obj, G in sources:
         M = morse_complex(obj, BIG)
         adj = M.compatibility_adjacency()
         for i, j in combinations(range(M.n_pairs), 2):
-            expected = compatible(M.pairs[i], M.pairs[j], G)
+            p, q = M.pairs[i], M.pairs[j]
+            expected = is_matching([p, q]) and is_acyclic([p, q], G)
             assert bool((adj[i] >> j) & 1) == expected
             assert bool((adj[j] >> i) & 1) == expected
         assert not any((adj[i] >> i) & 1 for i in range(M.n_pairs))

@@ -263,6 +263,20 @@ def test_long_multigraph_path_search_needs_no_recursion(shallow_stack):
     assert emap == {e: e for e in G.edge_ids}
 
 
+def test_mixed_kinds_raise():
+    # M(edge) is two points and the edge is connected: minimal non-faces and
+    # facets are not comparable, so no map may come back
+    K = full_simplex("ab")
+    M = morse_complex(K)
+    for A, B in ((M, K), (K, M)):
+        with pytest.raises(TypeError):
+            find_isomorphism(A, B)
+        with pytest.raises(TypeError):
+            all_isomorphisms(A, B)
+    with pytest.raises(TypeError):
+        find_isomorphism(K, Multigraph.from_edges([("e", "a", "b")]))
+
+
 def test_search_stops_at_the_tighter_budget():
     # all pairs of a cycle share one colour class, so every forced pair
     # filters every later domain: the search between two relabellings of a
