@@ -17,9 +17,11 @@ from .errors import EnumerationBudgetError, MalformedInputError
 class Budget:
     """Resource guard for enumerations; exceeding raises, never truncates.
 
-    ``max_facets`` caps the facets ``MorseComplex.facets()`` lists and also
-    the faces ``MorseComplex.faces()`` (and so ``as_complex()``)
-    materialises; ``max_seconds`` bounds each enumeration and search.
+    ``max_facets`` caps the listings of the Morse complex that owns the
+    budget: the facets ``MorseComplex.facets()`` lists and also the faces
+    ``MorseComplex.faces()`` (and so ``as_complex()``) materialises.  A
+    listing is cached on first use, so the cap is the one the complex was
+    built with.  ``max_seconds`` bounds each enumeration and search.
     """
 
     max_facets: int = 1_000_000

@@ -680,18 +680,18 @@ class MorseComplex:
 
         return total, lister
 
-    def facet_count(self, budget: Optional[Budget] = None) -> int:
+    def facet_count(self) -> int:
         """Exact number of facets (maximal acyclic matchings); time-guarded
         but not bounded by the facet budget, since counting never lists."""
         if self.n_pairs == 0:
             return 0
-        total, _ = self._facet_engine(budget or self.budget)
+        total, _ = self._facet_engine(self.budget)
         return total
 
-    def facets(self, budget: Optional[Budget] = None) -> tuple[tuple[int, ...], ...]:
+    def facets(self) -> tuple[tuple[int, ...], ...]:
         """All maximal acyclic matchings, as sorted tuples of pair indices."""
         if self._facets is None:
-            budget = budget or self.budget
+            budget = self.budget
             if self.n_pairs == 0:
                 self._facets = ()
                 return self._facets
@@ -706,13 +706,13 @@ class MorseComplex:
             self._facets = tuple(facets)
         return self._facets
 
-    def faces(self, budget: Optional[Budget] = None) -> tuple[tuple[int, ...], ...]:
+    def faces(self) -> tuple[tuple[int, ...], ...]:
         """Every acyclic matching (simplices of M(K)), the empty one excluded.
 
-        Raises EnumerationBudgetError past ``budget.max_facets`` faces: the
-        facet cap is also the face cap."""
+        Raises EnumerationBudgetError past the complex's ``budget.max_facets``
+        faces: the facet cap is also the face cap."""
         if self._faces is None:
-            budget = budget or self.budget
+            budget = self.budget
             deadline = budget.deadline()
             out = []
             stack = [((), 0, (1 << self.n_pairs) - 1)]
@@ -738,12 +738,11 @@ class MorseComplex:
 
     # -- views ---------------------------------------------------------------
 
-    def as_complex(self, budget: Optional[Budget] = None,
-                   labels: Optional[tuple[str, ...]] = None) -> SimplicialComplex:
+    def as_complex(self, labels: Optional[tuple[str, ...]] = None) -> SimplicialComplex:
         """The Morse complex as an explicit SimplicialComplex.
 
         Vertices are the pair ids (or the given per-pair labels).  The full
-        face list is materialised, so this is budget-guarded.
+        face list is materialised, so this runs under the complex's budget.
         """
         names = labels if labels is not None else self.pair_ids
         if len(names) != self.n_pairs or len(set(names)) != self.n_pairs:
@@ -754,7 +753,7 @@ class MorseComplex:
         order = tuple(sorted(names))
         rank = {lab: i for i, lab in enumerate(order)}
         remap = [rank[names[i]] for i in range(self.n_pairs)]
-        simplices = {tuple(sorted(remap[c] for c in ids)) for ids in self.faces(budget)}
+        simplices = {tuple(sorted(remap[c] for c in ids)) for ids in self.faces()}
         return SimplicialComplex(order, frozenset(simplices))
 
     def induced_subcomplex(self, pairs: Iterable[RegularPair]) -> SimplicialComplex:

@@ -1,17 +1,19 @@
 """Reconstruction of a complex from an isomorphism of Morse complexes.
 
 Given a simplicial isomorphism F between Morse complexes, these operations
-produce an explicit isomorphism of the underlying objects: simple graphs via
-the source-vertex formula f(v) = source(F(v, e)), multigraphs via the same
-formula plus parallel-class counting for the edges, and general complexes by
-extending the graph case skeleton by skeleton.  Every route reads the formula
-off F's own index-0 pairs.  For a complex, M(K^1) is the full subcomplex of
-M(K) on them, so F restricted there is already validated and no Morse complex
-of a 1-skeleton is built.  For a multigraph, the quotient by parallel pairs
-(read off the minimal non-faces, never off the faces) keeps each pair's
-source, so no Morse complex of a simplification is built.  Every step the
-theory guarantees is re-checked at run time; a failed check raises
-TheoremContradictionError rather than returning a wrong map.
+produce an explicit isomorphism of the underlying objects: general complexes
+by the source-vertex formula f(v) = source(F(v, e)) on the 1-skeleton,
+extended skeleton by skeleton, and multigraphs via the same formula plus
+parallel-class counting for the edges.  A simple graph is the 1-dimensional
+case of the complex route, which it takes once the graph hypotheses hold.
+Both routes read the formula off F's own index-0 pairs.  For a complex,
+M(K^1) is the full subcomplex of M(K) on them, so F restricted there is
+already validated and no Morse complex of a 1-skeleton is built.  For a
+multigraph, the quotient by parallel pairs (read off the minimal non-faces,
+never off the faces) keeps each pair's source, so no Morse complex of a
+simplification is built.  Every step the theory guarantees is re-checked at
+run time; a failed check raises TheoremContradictionError rather than
+returning a wrong map.
 
 The one exceptional family: an isomorphism may move index-0 pairs to higher
 index only when both complexes are the boundary of a simplex, where every
@@ -253,8 +255,9 @@ def _source_formula(F: MorseIso) -> VertexBijection:
 def reconstruct_graph_iso(F: MorseIso) -> VertexBijection:
     """Explicit isomorphism between connected simple non-cycle graphs from an
     isomorphism of their Morse complexes: each vertex goes to the source of
-    the image of any of its pairs.  The independence from the chosen edge is
-    verified, as is the resulting map."""
+    the image of any of its pairs.  Once the graph hypotheses are checked,
+    this is ``reconstruct_complex_iso``, whose formula, consistency loop and
+    final check cover the graph case."""
     G, H = F.M_K.source, F.M_L.source
     if not isinstance(G, SimplicialComplex) or not isinstance(H, SimplicialComplex):
         raise HypothesisViolationError("graph reconstruction expects simple graphs "
@@ -264,14 +267,7 @@ def reconstruct_graph_iso(F: MorseIso) -> VertexBijection:
     if G.cycle_length() is not None or H.cycle_length() is not None:
         raise HypothesisViolationError(
             "the graph reconstruction theorem excludes cycles; use reconstruct_cycle")
-    if G.n_vertices == 1:
-        if H.n_vertices != 1:
-            raise TheoremContradictionError("single vertex must map to single vertex")
-        return VertexBijection({G.labels[0]: H.labels[0]})
-    bij = _source_formula(F)
-    if not bij.is_simplicial_isomorphism(G, H):
-        raise TheoremContradictionError("reconstructed vertex map is not an isomorphism")
-    return bij
+    return reconstruct_complex_iso(F)
 
 
 def reconstruct_cycle(G: SimplicialComplex, H: SimplicialComplex) -> Optional[int]:
@@ -285,6 +281,17 @@ def reconstruct_cycle(G: SimplicialComplex, H: SimplicialComplex) -> Optional[in
 
 
 # -- full reconstruction -----------------------------------------------------
+
+def _label_order_map(K: SimplicialComplex, L: SimplicialComplex,
+                     what: str) -> VertexBijection:
+    """The map pairing the sorted labels of K and L, for the branches where
+    every vertex bijection is an isomorphism; it is checked all the same."""
+    bij = VertexBijection(dict(zip(K.labels, L.labels)))
+    if not bij.is_simplicial_isomorphism(K, L):
+        raise TheoremContradictionError(
+            f"the label-order map between {what} is not an isomorphism")
+    return bij
+
 
 def reconstruct_complex_iso(F: MorseIso) -> VertexBijection:
     """Explicit isomorphism K -> L from an isomorphism of Morse complexes.
@@ -309,16 +316,12 @@ def reconstruct_complex_iso(F: MorseIso) -> VertexBijection:
         if m is None or mL != m:
             raise TheoremContradictionError(
                 f"index anomaly {witness} outside boundaries of simplices")
-        bij = VertexBijection(dict(zip(K.labels, L.labels)))
-        if not bij.is_simplicial_isomorphism(K, L):
-            raise TheoremContradictionError(
-                "the label-order map between boundaries of simplices is not an isomorphism")
-        return bij
+        return _label_order_map(K, L, "boundaries of simplices")
 
     if K.n_vertices == 1:
         if L.n_vertices != 1:
             raise TheoremContradictionError("empty Morse complex forces a single vertex")
-        return VertexBijection({K.labels[0]: L.labels[0]})
+        return _label_order_map(K, L, "single vertices")
 
     K1 = K.skeleton(1)
     n_cyc = K1.cycle_length()
@@ -334,13 +337,7 @@ def reconstruct_complex_iso(F: MorseIso) -> VertexBijection:
         if n_cyc != 3 or K.f_vector() != (3, 3, 1):
             raise TheoremContradictionError(
                 "cycle 1-skeleton with higher cells must be the full triangle")
-        if L.f_vector() != (3, 3, 1):
-            raise TheoremContradictionError("image complex must also be the full triangle")
-        bij = VertexBijection(dict(zip(K.labels, L.labels)))
-        if not bij.is_simplicial_isomorphism(K, L):
-            raise TheoremContradictionError(
-                "the label-order map between full triangles is not an isomorphism")
-        return bij
+        return _label_order_map(K, L, "full triangles")
 
     f = _source_formula(F)
 
@@ -365,7 +362,8 @@ def reconstruct_multigraph_iso(F: MorseIso) -> tuple[VertexBijection, dict[str, 
     quotient by parallel pairs keeps each pair's source, so no Morse complex
     of a simplification is built.  Bundles on at most two vertices are forced
     by counting, and a simplification that is a cycle takes the least vertex
-    map keeping every parallel-class size.  The edge bijection is
+    map keeping every parallel-class size, with the edge bijection that
+    ``find_multigraph_isomorphism`` builds for it.  The edge bijection is
     lexicographic within each class; its class-size check, with equal vertex
     and edge counts, verifies the pair of maps as a multigraph isomorphism.
     """
@@ -395,8 +393,6 @@ def reconstruct_multigraph_iso(F: MorseIso) -> tuple[VertexBijection, dict[str, 
         if found is None:
             raise TheoremContradictionError(
                 "no cycle isomorphism preserves the parallel-class sizes")
-        f = found[0]
-    else:
-        f = _source_formula(F)
-
+        return found
+    f = _source_formula(F)
     return f, multigraph_edge_map(G, H, f)

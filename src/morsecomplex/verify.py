@@ -349,7 +349,7 @@ def criterion_minimal_cycle_law(budget: Optional[Budget] = None) -> CriterionRes
 
 def run_all(max_complex_vertices: int = 5, max_graph_vertices: int = 6,
             sample_7: int = 200, max_multigraph_vertices: int = 4,
-            max_multiplicity: int = 3, functoriality_samples: int = 1000,
+            functoriality_samples: int = 1000,
             seed: int = 0, budget: Optional[Budget] = None) -> list[CriterionResult]:
     return [
         criterion_graph_counts(max_graph_vertices, sample_7, seed, budget),
@@ -358,7 +358,7 @@ def run_all(max_complex_vertices: int = 5, max_graph_vertices: int = 6,
         criterion_wedge_datum(budget),
         criterion_counterexample(budget),
         criterion_complex_determination(max_complex_vertices, budget),
-        criterion_multigraph_determination(max_multigraph_vertices, max_multiplicity, budget),
+        criterion_multigraph_determination(max_multigraph_vertices, budget=budget),
         criterion_functoriality(functoriality_samples, seed, max_complex_vertices, budget),
         criterion_oracle(12, max_complex_vertices, budget),
         criterion_minimal_cycle_law(budget),

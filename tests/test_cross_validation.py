@@ -18,7 +18,7 @@ BIG = Budget(max_facets=10**7, max_seconds=300.0)
 
 def maximal_faces_by_extension(M):
     """Second facet route: flat face enumeration plus one-pair extension."""
-    faces = set(map(frozenset, M.faces(BIG)))
+    faces = set(map(frozenset, M.faces()))
     out = set()
     for f in faces:
         if not any(c not in f and (f | {c}) in faces for c in range(M.n_pairs)):
@@ -41,7 +41,7 @@ def brute_minimal_nonfaces_powerset(M, G=None):
 def brute_minimal_nonfaces(M):
     """Scaled route: a minimal non-face is a face plus one pair whose proper
     subsets are all faces, so faces and their one-pair extensions suffice."""
-    faces = set(map(frozenset, M.faces(BIG)))
+    faces = set(map(frozenset, M.faces()))
     faces.add(frozenset())
     out = set()
     for f in faces:
@@ -60,7 +60,7 @@ def test_facet_engine_against_face_filter_on_complexes():
     checked = 0
     for K in connected_complexes(4):
         M = morse_complex(K, BIG)
-        assert set(map(frozenset, M.facets(BIG))) == maximal_faces_by_extension(M)
+        assert set(map(frozenset, M.facets())) == maximal_faces_by_extension(M)
         checked += 1
     assert checked == 19
 
@@ -72,7 +72,7 @@ def test_facet_engine_against_face_filter_on_larger_complexes():
         M = morse_complex(K, BIG)
         if not 12 < M.n_pairs <= 26:
             continue
-        assert set(map(frozenset, M.facets(BIG))) == maximal_faces_by_extension(M)
+        assert set(map(frozenset, M.facets())) == maximal_faces_by_extension(M)
         count += 1
     assert count > 20
 
@@ -82,7 +82,7 @@ def test_facet_engine_against_face_filter_on_multigraphs():
         M = morse_complex(G, BIG)
         if M.n_pairs > 20:
             continue
-        assert set(map(frozenset, M.facets(BIG))) == maximal_faces_by_extension(M)
+        assert set(map(frozenset, M.facets())) == maximal_faces_by_extension(M)
 
 
 def test_minimal_nonfaces_against_brute_force():
@@ -113,7 +113,7 @@ def test_faces_are_independence_system_of_nonfaces():
     for K in connected_complexes(4):
         M = morse_complex(K, BIG)
         nonfaces = M.minimal_nonfaces()
-        faces = set(map(frozenset, M.faces(BIG)))
+        faces = set(map(frozenset, M.faces()))
         for r in (1, 2, 3):
             for combo in combinations(range(M.n_pairs), r):
                 s = frozenset(combo)
@@ -124,7 +124,7 @@ def test_faces_are_independence_system_of_nonfaces():
 def test_faces_match_standalone_predicates():
     for G in connected_graphs(4):
         M = morse_complex(G, BIG)
-        faces = set(map(frozenset, M.faces(BIG)))
+        faces = set(map(frozenset, M.faces()))
         for r in (1, 2, 3):
             for combo in combinations(M.pairs, r):
                 expected = is_matching(combo) and is_acyclic(combo)
@@ -151,7 +151,7 @@ def test_compatibility_adjacency_matches_standalone_predicate():
 def check_dimension_against_max_facet():
     for obj in connected_complexes(4) + connected_multigraphs(3, 3):
         M = morse_complex(obj, BIG)
-        facets = M.facets(BIG)
+        facets = M.facets()
         expected = max((len(f) for f in facets), default=0) - 1
         assert M.dimension(BIG) == expected
 
@@ -172,8 +172,8 @@ def test_disconnected_sources_work():
     K = closure([["a", "b", "c"], ["x", "y"]])
     M = morse_complex(K, BIG)
     assert M.n_pairs == 9 + 2
-    assert set(map(frozenset, M.facets(BIG))) == maximal_faces_by_extension(M)
+    assert set(map(frozenset, M.facets())) == maximal_faces_by_extension(M)
     G = Multigraph.from_edges([("e1", "u", "v"), ("e2", "u", "v")], isolated=["z"])
     M = morse_complex(G, BIG)
     assert M.n_pairs == 4
-    assert all(len(f) == 1 for f in M.facets(BIG))
+    assert all(len(f) == 1 for f in M.facets())

@@ -225,6 +225,17 @@ def test_facet_budget_error():
     assert M.facet_count() == 784
 
 
+def test_face_budget_error():
+    # the facet cap is also the face cap; M(full triangle) has 39 faces
+    M = morse_complex(full_simplex("abc"), Budget(max_facets=39))
+    for _ in range(2):
+        assert len(M.faces()) == 39
+    M = morse_complex(full_simplex("abc"), Budget(max_facets=38))
+    for _ in range(2):
+        with pytest.raises(EnumerationBudgetError):
+            M.faces()
+
+
 def test_time_budget_error():
     K = full_simplex("abcde")
     M = morse_complex(K, Budget(max_facets=10**9, max_seconds=0.0))

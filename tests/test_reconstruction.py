@@ -181,6 +181,36 @@ def test_reconstruct_path_automorphisms_swap_leaves():
     assert {"v0": "v2", "v1": "v1", "v2": "v0"} in maps
 
 
+def test_graph_reconstruction_maps_pinned():
+    # which map the graph route returns: every automorphism of M(G) for the
+    # non-cycle graphs on 2-5 vertices, one relabelling of each on 6
+    from morsecomplex.corpus import connected_graphs
+    h = hashlib.sha256()
+
+    def line(F):
+        h.update(repr(reconstruct_graph_iso(F).items()).encode())
+        h.update(b"\n")
+
+    n_autos = 0
+    for n in range(2, 6):
+        for G in connected_graphs(n):
+            if G.cycle_length() is None:
+                M = morse_complex(G)
+                for a in all_isomorphisms(M, M):
+                    line(MorseIso.from_vertex_bijection(M, M, a))
+                    n_autos += 1
+    rng = random.Random(2015)
+    n_relabelled = 0
+    for G in connected_graphs(6):
+        if G.cycle_length() is None:
+            Gp, _ = permuted_copy(G, rng)
+            line(find_morse_isomorphism(morse_complex(G), morse_complex(Gp)))
+            n_relabelled += 1
+    assert (n_autos, n_relabelled) == (274, 111)
+    assert h.hexdigest() == (
+        "e310b078d4b77c5140a98e51e40247bb177481a82b5c1da14e129a273b3b9881")
+
+
 def test_reconstruct_graph_iso_rejects_cycles():
     C = cycle_graph(3)
     M = morse_complex(C)
@@ -422,6 +452,23 @@ def test_reconstruct_single_vertex_and_edge():
         F = find_morse_isomorphism(morse_complex(K), morse_complex(K))
         f = reconstruct_complex_iso(F)
         assert f.is_simplicial_isomorphism(K, K)
+
+
+def test_forced_branches_check_their_map(monkeypatch):
+    # a single vertex, the full triangle and an anomalous automorphism of a
+    # simplex boundary take the label-order map; each must still check it
+    B = boundary_simplex("abcd")
+    M_B = morse_complex(B)
+    anomalous = next(F for F in (MorseIso.from_vertex_bijection(M_B, M_B, a)
+                                 for a in all_isomorphisms(M_B, M_B))
+                     if detect_index_anomaly(F) is not None)
+    cases = [find_morse_isomorphism(morse_complex(K), morse_complex(K))
+             for K in (full_simplex("a"), full_simplex("abc"))] + [anomalous]
+    monkeypatch.setattr(VertexBijection, "is_simplicial_isomorphism",
+                        lambda self, K, L: False)
+    for F in cases:
+        with pytest.raises(TheoremContradictionError):
+            reconstruct_complex_iso(F)
 
 
 def test_reconstruct_requires_connected():
@@ -682,7 +729,7 @@ def test_verify_checks_survive_python_O():
     script = (
         "from morsecomplex import morse, verify\n"
         "listing = morse.MorseComplex.facets\n"
-        "morse.MorseComplex.facets = lambda self, budget=None: listing(self, budget)[1:]\n"
+        "morse.MorseComplex.facets = lambda self: listing(self)[1:]\n"
         "r = verify.criterion_oracle(6, 3)\n"
         "print(__debug__, r.passed)\n")
     env = dict(os.environ,
