@@ -199,7 +199,7 @@ def cmd_kozlov(args) -> int:
                 "the forest-complex identity is for graphs; input has higher simplices")
     M = morse_complex(G, _budget(args))
     if forest_identity_holds(G, M):
-        print(f"identity holds: {M.n_pairs} directed edges, {len(M.facets())} facets")
+        print(f"identity holds: {M.n_pairs} directed edges, {M.facet_count()} facets")
         return EXIT_OK
     print("identity FAILS", file=sys.stderr)
     return EXIT_NEGATIVE

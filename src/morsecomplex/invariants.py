@@ -1,17 +1,18 @@
 """Cheap topological invariants: f-vector, Euler characteristic, connected
-components, mod-2 Betti numbers and a greedy collapsibility witness.
-
-Betti numbers are computed over the two-element field by boundary-matrix
-elimination on integer bitmasks; no torsion bookkeeping, by design.
+components, mod-2 Betti numbers and a greedy collapsibility witness, the last
+two on the Hasse diagram that the Morse engine uses.  Betti numbers are over
+the two-element field; no torsion bookkeeping, by design.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import SimplicialComplex, gf2_rank, immediate_faces
+from .complexes import SimplicialComplex
 from .errors import MalformedInputError, TheoremContradictionError
+from .morse import hasse
 
 
 @dataclass(frozen=True)
@@ -24,31 +25,14 @@ class InvariantReport:
 
 
 def betti_mod2(K: SimplicialComplex) -> tuple[int, ...]:
-    """Mod-2 Betti numbers b_0..b_dim."""
+    """Mod-2 Betti numbers b_0..b_dim: b_k = f_k - r_k - r_{k+1}, with r_k
+    the GF(2) rank of the boundary map from the k-cells of the Hasse diagram
+    (r_0 = r_{dim+1} = 0)."""
     if not K.simplices:
         raise MalformedInputError("empty complex has no invariants")
-    dim = K.dim
-    by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(dim + 1)]
-    for s in K.simplices:
-        by_dim[len(s) - 1].append(s)
-    for level in by_dim:
-        level.sort()
-    pos = [{s: i for i, s in enumerate(level)} for level in by_dim]
-
-    ranks = [0] * (dim + 2)  # ranks[k] = rank of boundary C_k -> C_{k-1}
-    for k in range(1, dim + 1):
-        cols = []
-        for s in by_dim[k]:
-            mask = 0
-            for f in immediate_faces(s):
-                mask |= 1 << pos[k - 1][f]
-            cols.append(mask)
-        ranks[k] = gf2_rank(cols)
-
-    betti = []
-    for k in range(dim + 1):
-        betti.append(len(by_dim[k]) - ranks[k] - ranks[k + 1])
-    return tuple(betti)
+    ranks = hasse(K).boundary_ranks()
+    return tuple(f - ranks.get(k, 0) - ranks.get(k + 1, 0)
+                 for k, f in enumerate(K.f_vector()))
 
 
 def greedy_collapse(K: SimplicialComplex) -> Optional[list[tuple[tuple[str, ...], tuple[str, ...]]]]:
@@ -56,67 +40,80 @@ def greedy_collapse(K: SimplicialComplex) -> Optional[list[tuple[tuple[str, ...]
 
     At each step the lexicographically least free face (a simplex properly
     contained in exactly one other simplex) is removed together with its
-    unique coface, and the scan restarts.  Success certifies contractibility;
-    failure proves nothing.
+    unique coface.  Success certifies contractibility; failure proves nothing.
+
+    A face is free exactly when it has one codimension-1 coface still present
+    and that coface is maximal, so each cell of the Hasse diagram keeps its
+    up-degree.  A heap keyed by label tuple holds the faces that
+    may be free: a face goes in when its up-degree drops to 1 or when its one
+    coface becomes maximal, and is checked when it comes out.
     """
-    from itertools import combinations
-
-    simplices = set(K.simplices)
-    if not simplices:
+    if not K.simplices:
         return None
-    # proper-coface counts, kept current as pairs are removed; a free face
-    # has count 1, and its unique coface then has codimension 1
-    cnt = {s: 0 for s in simplices}
-    for t in simplices:
-        for r in range(1, len(t)):
-            for f in combinations(t, r):
-                cnt[f] += 1
-    order = sorted(simplices, key=K.to_labels)
+    H = hasse(K)
+    cells = H.cells
+    parents: list[list[int]] = [[] for _ in cells]
+    for s, t in H.covers:
+        parents[s].append(t)
+    up = [len(ps) for ps in parents]
+    alive = [True] * len(cells)
+    heap = [(cells[c][1], c) for c in range(len(cells)) if up[c] == 1]
+    heapq.heapify(heap)
+
+    def release(x):
+        """Lower the up-degrees of the faces of x, which has just gone."""
+        for c in H.children.get(x, ()):
+            if not alive[c]:
+                continue
+            up[c] -= 1
+            if up[c] == 1:
+                heapq.heappush(heap, (cells[c][1], c))
+            elif up[c] == 0:  # c is now maximal
+                for g in H.children.get(c, ()):
+                    if up[g] == 1:
+                        heapq.heappush(heap, (cells[g][1], g))
+
     sequence = []
-
-    def remove(x):
-        simplices.discard(x)
-        for r in range(1, len(x)):
-            for f in combinations(x, r):
-                cnt[f] -= 1
-
-    while len(simplices) > 1:
-        sigma = next((s for s in order if s in simplices and cnt[s] == 1), None)
-        if sigma is None:
-            return None
-        tau = None
-        for v in range(K.n_vertices):
-            if v not in sigma:
-                cand = tuple(sorted(sigma + (v,)))
-                if cand in simplices:
-                    tau = cand
+    while 2 * len(sequence) < len(cells) - 1:
+        while heap:
+            name, sigma = heapq.heappop(heap)
+            if alive[sigma] and up[sigma] == 1:
+                tau = next(t for t in parents[sigma] if alive[t])
+                if up[tau] == 0:
                     break
-        if tau is None:
-            raise TheoremContradictionError(
-                f"free face {K.to_labels(sigma)} has no codimension-1 coface")
-        remove(sigma)
-        remove(tau)
-        sequence.append((K.to_labels(sigma), K.to_labels(tau)))
-    (last,) = simplices
-    if len(last) != 1:
+        else:
+            return None
+        alive[sigma] = alive[tau] = False
+        release(tau)
+        release(sigma)
+        sequence.append((name, cells[tau][1]))
+    if cells[alive.index(True)][0] != 0:
         raise TheoremContradictionError("a collapse sequence must end at a vertex")
     return sequence
 
 
 def invariants(K: SimplicialComplex) -> InvariantReport:
-    """Exact invariant report; requires a nonempty complex."""
+    """Exact invariant report; requires a nonempty complex.
+
+    The Betti numbers are checked against what the boundary ranks cannot
+    fake: b_0 against the components found by union-find on the edges, and
+    every b_k >= 0, which holds because the boundary of a boundary is zero.
+    """
     if not K.simplices:
         raise MalformedInputError("empty complex has no invariants")
     f_vec = K.f_vector()
-    euler = sum((-1) ** k * c for k, c in enumerate(f_vec))
     betti = betti_mod2(K)
-    if euler != sum((-1) ** k * b for k, b in enumerate(betti)):
+    components = K.components()
+    if betti[0] != components:
         raise TheoremContradictionError(
-            f"Euler characteristic {euler} differs from the alternating Betti sum {betti}")
+            f"b_0 of the mod-2 Betti numbers {betti} differs from the "
+            f"{components} connected components")
+    if min(betti) < 0:
+        raise TheoremContradictionError(f"negative mod-2 Betti number in {betti}")
     return InvariantReport(
         f_vector=f_vec,
-        euler=euler,
-        components=K.components(),
+        euler=sum((-1) ** k * c for k, c in enumerate(f_vec)),
+        components=components,
         betti_mod2=betti,
         collapsible=greedy_collapse(K) is not None,
     )

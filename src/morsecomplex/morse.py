@@ -84,11 +84,14 @@ class HasseDiagram:
             out.append(RegularPair(name, self.cells[t][1], dim))
         return out
 
-    def boundary_rank(self) -> int:
-        """Rank over GF(2) of the boundary matrix, summed over dimensions:
-        one column per cell, with one bit per cell it covers.  The blocks of
-        the dimensions are disjoint, so one elimination gives the sum."""
-        return gf2_rank(sum(1 << c for c in cs) for cs in self.children.values())
+    def boundary_ranks(self) -> dict[int, int]:
+        """Rank over GF(2) of the boundary map from the k-cells, for each
+        dimension k >= 1 that has cells: one column per k-cell, with one bit
+        per cell it covers."""
+        columns: dict[int, list[int]] = {}
+        for t, cs in self.children.items():
+            columns.setdefault(self.cells[t][0], []).append(sum(1 << c for c in cs))
+        return {k: gf2_rank(cols) for k, cols in sorted(columns.items())}
 
 
 def hasse(obj: Source) -> HasseDiagram:
@@ -776,8 +779,8 @@ class MorseComplex:
 
         Branch and bound over covers in order, on an explicit stack; the
         bound counts the distinct source cells still free in the remaining
-        suffix.  No acyclic matching has more pairs than r, the rank over
-        GF(2) of the boundary matrix (the weak Morse inequalities; Forman,
+        suffix.  No acyclic matching has more pairs than r, the sum of the
+        GF(2) ranks of the boundary maps (the weak Morse inequalities; Forman,
         Adv. Math. 1998): ordered along its gradient, a matching's pairs pick
         out a square submatrix of the boundary matrix that is triangular with
         ones on the diagonal.  So the search stops as soon as the best
@@ -791,7 +794,7 @@ class MorseComplex:
             return -1
         budget = budget or self.budget
         deadline = budget.deadline()
-        rank = self.hasse.boundary_rank()
+        rank = sum(self.hasse.boundary_ranks().values())
         covers = self.hasse.covers
         conflict = self._conflict
         creates_cycle = self._creates_cycle

@@ -201,17 +201,11 @@ def quotient(K: SimplicialComplex) -> QuotientComplex:
     return QuotientComplex(tuple(classes), SimplicialComplex.closure(faces), projection)
 
 
-def simplify(G: Multigraph) -> tuple[SimplicialComplex, dict[str, tuple[str, str]]]:
-    """Identify parallel edges: the simple graph on the same vertices, plus the
-    map sending each edge id to its merged edge (as a sorted label pair)."""
+def simplify(G: Multigraph) -> SimplicialComplex:
+    """Identify parallel edges: the simple graph on the same vertices."""
     faces = [[lab] for lab in G.labels]
-    edge_map: dict[str, tuple[str, str]] = {}
-    for (u, v), ids in G.parallel_classes().items():
-        lu, lv = G.labels[u], G.labels[v]
-        faces.append([lu, lv])
-        for e in ids:
-            edge_map[e] = (lu, lv)
-    return SimplicialComplex.closure(faces), edge_map
+    faces += [[G.labels[u], G.labels[v]] for u, v in G.parallel_classes()]
+    return SimplicialComplex.closure(faces)
 
 
 # -- graph reconstruction ----------------------------------------------------
@@ -383,9 +377,9 @@ def reconstruct_multigraph_iso(F: MorseIso) -> tuple[VertexBijection, dict[str, 
         edge_map = dict(zip(G.edge_ids, H.edge_ids))
         return bij, edge_map
 
-    sG = simplify(G)[0]
+    sG = simplify(G)
     if sG.cycle_length() is not None:
-        if reconstruct_cycle(sG, simplify(H)[0]) is None:
+        if reconstruct_cycle(sG, simplify(H)) is None:
             raise TheoremContradictionError("simplified cycle must map to an equal cycle")
         # the pointwise formula is unavailable on a cycle: take the least
         # vertex map keeping every parallel-class size

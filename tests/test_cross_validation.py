@@ -162,7 +162,7 @@ def test_dimension_matches_max_facet():
 
 def test_exhaustive_dimension_matches_max_facet(monkeypatch):
     # a rank no matching reaches switches the early stop off
-    monkeypatch.setattr(HasseDiagram, "boundary_rank", lambda self: self.n_covers + 1)
+    monkeypatch.setattr(HasseDiagram, "boundary_ranks", lambda self: {1: self.n_covers + 1})
     check_dimension_against_max_facet()
 
 

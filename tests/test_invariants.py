@@ -1,12 +1,16 @@
 """Invariant computations: f-vectors, Euler characteristic, mod-2 Betti
 numbers and greedy collapsing."""
 
+import hashlib
+
 import pytest
 
 from morsecomplex import betti_mod2, greedy_collapse, invariants, morse_complex
 from morsecomplex.corpus import (boundary_simplex, connected_complexes,
-                                 cycle_graph, full_simplex, path_graph)
-from morsecomplex.errors import MalformedInputError
+                                 connected_graphs, cycle_graph, full_simplex,
+                                 path_graph)
+from morsecomplex.errors import MalformedInputError, TheoremContradictionError
+from morsecomplex.morse import HasseDiagram
 from morsecomplex import SimplicialComplex
 
 
@@ -79,6 +83,51 @@ def test_morse_complex_of_triangle_wedge_data():
     assert rep1.betti_mod2 == (2,)
 
 
+def test_inflated_boundary_ranks_raise(monkeypatch):
+    # b_0 is checked against union-find, and every b_k against zero
+    ranks = HasseDiagram.boundary_ranks
+    triangle = full_simplex("abc")
+    for inflate in ({1: 1}, {2: 1}):
+        monkeypatch.setattr(HasseDiagram, "boundary_ranks", lambda self: {
+            k: r + inflate.get(k, 0) for k, r in ranks(self).items()})
+        with pytest.raises(TheoremContradictionError):
+            invariants(triangle)
+
+
 def test_empty_complex_rejected():
     with pytest.raises(MalformedInputError):
         invariants(SimplicialComplex((), frozenset()))
+
+
+def test_collapses_and_betti_numbers_pinned(grid_facets):
+    # greedy collapse sequences and mod-2 Betti numbers, pinned before the
+    # invariants moved onto the Hasse diagram
+    complexes = list(connected_complexes(5))
+    assert len(complexes) == 176
+    graphs = [G for n in range(2, 7) for G in connected_graphs(n)]
+    assert len(graphs) == 142
+    grid = SimplicialComplex.closure(grid_facets(20))
+    assert grid.n_vertices == 441
+    others = [morse_complex(full_simplex("abc")).as_complex(),
+              morse_complex(full_simplex("ab")).as_complex(),
+              full_simplex("abcdefgh"), boundary_simplex("abcdefg"), grid]
+    h = hashlib.sha256()
+    for K in complexes + graphs + others:
+        seq = greedy_collapse(K)
+        h.update(repr((seq, betti_mod2(K))).encode() + b"\n")
+    assert len(seq) == 1240  # the grid's, last in the list
+    assert h.hexdigest() == (
+        "f11041bd5313376e852b7676715c9e7495f8a12a070361a82fcf578a146ee58b")
+
+
+def test_betti_numbers_of_surfaces():
+    # the 6-vertex RP^2: mod-2 and rational Betti numbers differ
+    rp2 = SimplicialComplex.closure(
+        ["123", "134", "145", "156", "162", "235", "346", "452", "563", "624"])
+    assert betti_mod2(rp2) == (1, 1, 1)
+    assert greedy_collapse(rp2) is None
+    # the 7-vertex torus
+    torus = SimplicialComplex.closure(
+        [[str(i), str((i + 1) % 7), str((i + 3) % 7)] for i in range(7)]
+        + [[str(i), str((i + 2) % 7), str((i + 3) % 7)] for i in range(7)])
+    assert betti_mod2(torus) == (1, 2, 1)
