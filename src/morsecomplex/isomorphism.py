@@ -2,14 +2,16 @@
 
 There is one engine, ``set_family_isomorphisms``: it decides whether two
 finite set families (over labelled vertex sets) are related by a vertex
-bijection mapping one family onto the other.  A simplicial complex is handled
-through its facet family, a Morse complex (far too large to materialise)
-through its minimal non-faces; the two are never compared with each other.
-A multigraph becomes a plain set family too: one marker vertex per distinct
-edge multiplicity, numbered before the multigraph's vertices and pinned by
-the chain {c1}, {c1, c2}, ..., and one set {c_rank(m), u, v} per parallel
-class of multiplicity m on (u, v).  The markers come first, so each class's
-multiplicity is checked as soon as both of its ends are assigned.
+bijection mapping one family onto the other.  A family is any sequence of
+collections of vertex ids; the library's own are ascending int tuples.  A
+simplicial complex is handled through its facet family, a Morse complex (far
+too large to materialise) through its minimal non-faces; the two are never
+compared with each other.  A multigraph becomes a plain set family too: one
+marker vertex per distinct edge multiplicity, numbered before the
+multigraph's vertices and pinned by the chain {c1}, {c1, c2}, ..., and one
+set {c_rank(m), u, v} per parallel class of multiplicity m on (u, v).  The
+markers come first, so each class's multiplicity is checked as soon as both
+of its ends are assigned.
 
 The search assigns vertices in canonical label order and tries candidates in
 ascending order, so the first witness found is the lexicographically least
@@ -44,7 +46,7 @@ the default.  Intended for desk-scale inputs, exact always.
 from __future__ import annotations
 
 import time
-from typing import Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .budget import DEFAULT_BUDGET, Budget, _check_deadline
 from .complexes import Multigraph, SimplicialComplex, VertexBijection
@@ -52,19 +54,20 @@ from .errors import EnumerationBudgetError, TheoremContradictionError
 from .morse import MorseComplex
 
 
-def _iso_structure(obj) -> tuple[tuple[str, ...], list[frozenset[int]]]:
+def _iso_structure(obj) -> tuple[tuple[str, ...], Sequence[tuple[int, ...]]]:
     """(labels, defining family) of an object, by which isomorphism is
     decided: a Morse complex's pair ids and minimal non-faces, which
     determine it without materialising its (possibly enormous) facet list,
-    or a simplicial complex's vertex labels and facets."""
+    or a simplicial complex's vertex labels and facets.  Both families are
+    ascending int tuples, as the objects store them."""
     if isinstance(obj, MorseComplex):
         return obj.pair_ids, obj.minimal_nonfaces()
     if isinstance(obj, SimplicialComplex):
-        return obj.labels, [frozenset(f) for f in obj.facets()]
+        return obj.labels, obj.facets()
     raise TypeError(f"cannot search isomorphisms of {type(obj).__name__}")
 
 
-def _index(n: int, family: Iterable[frozenset[int]]
+def _index(n: int, family: Iterable[Collection[int]]
            ) -> tuple[list[tuple[int, ...]], list[list[int]], list[int], dict[int, int]]:
     """A family indexed once: its distinct members as tuples, per vertex the
     ids of the sets through it and its 2-set neighbourhood as a bitmask, and
@@ -171,11 +174,13 @@ def _refine(sets_a: list[tuple[int, ...]], rows_a: list[list[int]],
     return out[:n_a], out[n_a:]
 
 
-def set_family_isomorphisms(n_a: int, fams_a: list[frozenset[int]],
-                            n_b: int, fams_b: list[frozenset[int]], *,
+def set_family_isomorphisms(n_a: int, fams_a: Sequence[Collection[int]],
+                            n_b: int, fams_b: Sequence[Collection[int]], *,
                             budget: Budget = DEFAULT_BUDGET) -> Iterator[tuple[int, ...]]:
     """Yield every bijection (as a tuple image) mapping fams_a onto fams_b.
 
+    A family is any sequence of collections of vertex ids in range(n), such
+    as tuples or frozensets; the order within a member does not matter.
     Bijections appear in lexicographic order of their image tuples.  The
     search raises EnumerationBudgetError once it runs past the budget's
     deadline, counted from its start.
@@ -186,8 +191,8 @@ def set_family_isomorphisms(n_a: int, fams_a: list[frozenset[int]],
     if sorted(map(len, fams_a)) != sorted(map(len, fams_b)):
         return
     if n_a == 0:
-        if fams_a == fams_b == []:
-            yield ()
+        # with no vertices every member is empty, and the sizes agree
+        yield ()
         return
     sets_a, rows_a, nbr_a, _ = _index(n_a, fams_a)
     sets_b, rows_b, nbr_b, masks_b = _index(n_b, fams_b)
@@ -342,7 +347,8 @@ def _search_inputs(K, L):
 
 
 def _certificate(labels, fams):
-    return labels, tuple(sorted(tuple(sorted(s)) for s in fams))
+    # members are ascending tuples, so the sorted family is canonical
+    return labels, tuple(sorted(fams))
 
 
 def find_isomorphism(K, L) -> Optional[VertexBijection]:
@@ -397,8 +403,8 @@ def find_multigraph_isomorphism(
     rank = {m: c for c, m in enumerate(mults)}
 
     def family(classes):
-        return ([frozenset(range(c + 1)) for c in range(k)]
-                + [frozenset((rank[len(es)], k + u, k + v)) for (u, v), es in classes.items()])
+        return ([tuple(range(c + 1)) for c in range(k)]
+                + [(rank[len(es)], k + u, k + v) for (u, v), es in classes.items()])
 
     for image in set_family_isomorphisms(k + n, family(classes_g), k + n, family(classes_h)):
         bij = VertexBijection({G.labels[v]: H.labels[w - k] for v, w in enumerate(image[k:])})

@@ -246,7 +246,7 @@ class MorseComplex:
         self._rev = rev
         self._indices = tuple(cells[s][0] for s, _ in covers)
         self._compat: Optional[list[int]] = None
-        self._nonfaces: Optional[list[frozenset[int]]] = None
+        self._nonfaces: Optional[list[tuple[int, ...]]] = None
         self._quotient: Optional[list[int]] = None
         self._facets: Optional[tuple[tuple[int, ...], ...]] = None
         self._faces: Optional[tuple[tuple[int, ...], ...]] = None
@@ -337,15 +337,16 @@ class MorseComplex:
 
     # -- minimal non-faces ---------------------------------------------------
 
-    def minimal_nonfaces(self) -> list[frozenset[int]]:
-        """Minimal pair sets that are not simplices: conflicting 2-sets plus
-        the chordless matching circuits of the gradient digraph (the minimal
-        gradient cycles, of any length)."""
+    def minimal_nonfaces(self) -> list[tuple[int, ...]]:
+        """Minimal pair sets that are not simplices, as ascending tuples of
+        pair indices: conflicting 2-sets plus the chordless matching circuits
+        of the gradient digraph (the minimal gradient cycles, of any
+        length)."""
         if self._nonfaces is None:
             self._nonfaces = self._find_nonfaces()
         return self._nonfaces
 
-    def _find_nonfaces(self) -> list[frozenset[int]]:
+    def _find_nonfaces(self) -> list[tuple[int, ...]]:
         n = self.n_pairs
         out = []
         for i in range(n):
@@ -353,11 +354,11 @@ class MorseComplex:
             while f:
                 b = f & -f
                 f ^= b
-                out.append(frozenset((i, b.bit_length() - 1)))
+                out.append((i, b.bit_length() - 1))
         out.extend(self._chordless_circuits())
         return out
 
-    def _chordless_circuits(self) -> list[frozenset[int]]:
+    def _chordless_circuits(self) -> list[tuple[int, ...]]:
         n = self.n_pairs
         arc, rev, conflict = self._arc, self._rev, self._conflict
         deadline = self.budget.deadline()
@@ -395,7 +396,7 @@ class MorseComplex:
                     _check_deadline(deadline, "enumerating gradient circuits")
                 u = path[-1]
                 if len(path) >= 2 and (arc[u] >> s) & 1:
-                    out.append(frozenset(path))
+                    out.append(tuple(sorted(path)))
                     continue  # extending would leave the chord u -> start
                 outs_u = outs | arc[u]
                 f = arc[u] & later & ~(mask | clash | outs | ins)
@@ -427,21 +428,25 @@ class MorseComplex:
         transposition form above.  That covers every pair of the class:
         (a b) = (r a)(r b)(r a), and (r a) carries the non-face {r, b} to
         {a, b}.  Only this map is cached, not non-faces computed for it.
+        Residues are kept as bitmasks of pair indices.
         """
         if self._quotient is None:
             n = self.n_pairs
             nonfaces = self._nonfaces if self._nonfaces is not None else self._find_nonfaces()
-            residues: list[set[frozenset[int]]] = [set() for _ in range(n)]
+            residues: list[set[int]] = [set() for _ in range(n)]
             for S in nonfaces:
+                mask = 0
                 for i in S:
-                    residues[i].add(S - {i})
-            first: dict[frozenset[frozenset[int]], int] = {}
+                    mask |= 1 << i
+                for i in S:
+                    residues[i].add(mask ^ 1 << i)
+            first: dict[frozenset[int], int] = {}
             rep = []
             for i in range(n):
-                r = first.setdefault(frozenset(residues[i] | {frozenset((i,))}), i)
-                if r != i and (frozenset((i,)) not in residues[r]
-                               or {T for T in residues[r] if i not in T}
-                               != {T for T in residues[i] if r not in T}):
+                r = first.setdefault(frozenset(residues[i] | {1 << i}), i)
+                if r != i and (1 << i not in residues[r]
+                               or {T for T in residues[r] if not T >> i & 1}
+                               != {T for T in residues[i] if not T >> r & 1}):
                     raise TheoremContradictionError(
                         f"pairs {self.pairs[r]} and {self.pairs[i]} share a quotient "
                         "class but are adjacent or have different links")

@@ -61,11 +61,14 @@ class MorseIso:
             raise InvalidIsomorphismError("pair mapping is not injective")
         if set(self.forward) != set(M_K.pairs) or set(self.backward) != set(M_L.pairs):
             raise InvalidIsomorphismError("pair mapping does not cover both pair sets")
-        image = {}
+        # non-faces as bitmasks: the pair map is a bijection, so the sum of
+        # the image bits of a non-face is the mask of its image
+        image = [0] * M_K.n_pairs
         for p, q in self.forward.items():
-            image[M_K.index_of_pair(p)] = M_L.index_of_pair(q)
-        nf_K = {frozenset([image[i] for i in nf]) for nf in M_K.minimal_nonfaces()}
-        nf_L = set(M_L.minimal_nonfaces())
+            image[M_K.index_of_pair(p)] = 1 << M_L.index_of_pair(q)
+        bit = [1 << i for i in range(M_L.n_pairs)]
+        nf_K = {sum(map(image.__getitem__, nf)) for nf in M_K.minimal_nonfaces()}
+        nf_L = {sum(map(bit.__getitem__, nf)) for nf in M_L.minimal_nonfaces()}
         if nf_K != nf_L:
             raise InvalidIsomorphismError(
                 "mapping does not preserve the minimal non-faces; not simplicial both ways")

@@ -305,3 +305,104 @@ def test_iso_of_long_paths_exits_0(tmp_path, capsys, shallow_stack):
         lines = out.splitlines()
         assert len(lines) == n_lines
         assert all(line.split()[-3] == line.split()[-1] for line in lines)
+
+
+def test_cli_transcript_pinned(tmp_path, capsys, monkeypatch):
+    # one sha256 over (argv, exit code, stdout) of in-process runs: build and
+    # stats on small corpus members, iso and reconstruct both ways on
+    # relabelled, line-shuffled copies, on negatives with equal counts and on
+    # mixed kinds, kozlov, a small verify and the bad-input exits; no run
+    # depends on timing, and the files are named relative to the run directory
+    from morsecomplex.corpus import connected_complexes, connected_graphs
+    from morsecomplex.formats import serialize_multigraph
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MORSE_BUDGET_SECONDS", raising=False)
+    rng = random.Random(3101)
+
+    def put(name, text):
+        (tmp_path / name).write_text(text)
+        return name
+
+    def shuffled(lines):
+        lines = list(lines)
+        rng.shuffle(lines)
+        return "".join(lines)
+
+    def relabelled_complex(K):
+        image = [f"y{i}" for i in range(len(K.labels))]
+        rng.shuffle(image)
+        lines = []
+        for f in K.label_facets():
+            face = [image[K.labels.index(v)] for v in f]
+            rng.shuffle(face)
+            lines.append(" ".join(face) + "\n")
+        return shuffled(lines)
+
+    def relabelled_multigraph(G):
+        image = [f"y{i}" for i in range(G.n_vertices)]
+        rng.shuffle(image)
+        ids = [f"g{i}" for i in range(G.n_edges)]
+        rng.shuffle(ids)
+        lines = []
+        for g, (u, v) in zip(ids, G.boundary):
+            ends = [image[u], image[v]]
+            rng.shuffle(ends)
+            lines.append(f"edge {g} {ends[0]} {ends[1]}\n")
+        return shuffled(lines)
+
+    argvs = []
+    complexes = connected_complexes(5)[::11]
+    for k, K in enumerate(complexes):
+        a = put(f"a{k}.cx", shuffled(serialize_complex(K).splitlines(keepends=True)))
+        b = put(f"b{k}.cx", relabelled_complex(K))
+        argvs += [["build", a], ["stats", b]]
+        argvs += [[cmd, x, y] for cmd in ("iso", "reconstruct") for x, y in ((a, b), (b, a))]
+    multigraphs = [G for G in connected_multigraphs(4, 3) if G.n_edges][::23]
+    for k, G in enumerate(multigraphs):
+        a = put(f"a{k}.mg", shuffled(serialize_multigraph(G).splitlines(keepends=True)))
+        b = put(f"b{k}.mg", relabelled_multigraph(G))
+        argvs += [["build", a]]
+        argvs += [[cmd, x, y] for cmd in ("iso", "reconstruct") for x, y in ((a, b), (b, a))]
+    # negatives: non-isomorphic members with equal vertex and facet (edge) counts
+    seen = {}
+    for K in connected_complexes(5):
+        seen.setdefault((len(K.labels), len(K.facets()), K.f_vector()), []).append(K)
+    negatives = [ks[:2] for ks in seen.values() if len(ks) > 1][::5]
+    for k, (K, L) in enumerate(negatives):
+        a = put(f"n{k}a.cx", serialize_complex(K))
+        b = put(f"n{k}b.cx", relabelled_complex(L))
+        argvs += [[cmd, x, y] for cmd in ("iso", "reconstruct") for x, y in ((a, b), (b, a))]
+    seen = {}
+    for G in connected_multigraphs(4, 3):
+        seen.setdefault((G.n_vertices, G.n_edges), []).append(G)
+    negatives = [gs[:2] for gs in seen.values() if len(gs) > 1][::3]
+    for k, (G, H) in enumerate(negatives):
+        a = put(f"n{k}a.mg", serialize_multigraph(G))
+        b = put(f"n{k}b.mg", relabelled_multigraph(H))
+        argvs += [[cmd, x, y] for cmd in ("iso", "reconstruct") for x, y in ((a, b), (b, a))]
+    argvs += [[cmd, "a0.cx", "a1.mg"] for cmd in ("iso", "reconstruct")]
+    argvs += [["reconstruct", "a1.mg", "a0.cx"]]
+    for k, G in enumerate(connected_graphs(4)):
+        argvs += [["kozlov", put(f"k{k}.cx", serialize_complex(G))]]
+    argvs += [["verify", "corpus", "--max-vertices", "3"]]
+    # the exit-2 guard, the exit-3 hypotheses and the exit-4 bad inputs
+    argvs += [["build", "a5.cx", "--max-vertices", "3"],
+              ["kozlov", put("par.mg", "edge e1 u v\nedge e2 u v\n")],
+              ["kozlov", put("tri.cx", "a b c\n")],
+              ["build"], ["build", "missing.cx"], ["frobnicate", "a0.cx"],
+              ["stats", put("bad.cx", "a a b\n")], ["stats", "a0.mg"],
+              ["build", put("bad.mg", "edge e1 u u\n")],
+              ["build", "a0.cx", "--budget-seconds", "abc"],
+              ["build", "a0.cx", "--budget-seconds", "nan"],
+              ["verify", "graphs"], ["iso", "a0.cx"]]
+    (tmp_path / "latin.cx").write_bytes("caf\xe9 b\n".encode("latin-1"))
+    argvs += [["build", "latin.cx"]]
+    h = hashlib.sha256()
+    codes = []
+    for argv in argvs:
+        code, out, _ = run(capsys, *argv)
+        codes.append(code)
+        h.update(repr((argv, code, out)).encode() + b"\n")
+    assert {c: codes.count(c) for c in sorted(set(codes))} == {0: 162, 1: 60, 2: 2, 3: 2, 4: 14}
+    assert h.hexdigest() == (
+        "6bc3c6db42fe123b9872be865fe74e5683c93a1d2cdc5a508b594ed3ad7d4bc5")

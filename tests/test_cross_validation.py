@@ -88,9 +88,9 @@ def test_facet_engine_against_face_filter_on_multigraphs():
 def test_minimal_nonfaces_against_brute_force():
     for K in connected_complexes(4):
         M = morse_complex(K, BIG)
-        assert set(M.minimal_nonfaces()) == brute_minimal_nonfaces(M)
+        assert set(map(frozenset, M.minimal_nonfaces())) == brute_minimal_nonfaces(M)
     M = morse_complex(full_simplex("abcd"), BIG)
-    assert set(M.minimal_nonfaces()) == brute_minimal_nonfaces(M)
+    assert set(map(frozenset, M.minimal_nonfaces())) == brute_minimal_nonfaces(M)
 
 
 def test_minimal_nonfaces_against_powerset():
@@ -98,7 +98,7 @@ def test_minimal_nonfaces_against_powerset():
         M = morse_complex(K, BIG)
         if M.n_pairs > 12:
             continue
-        assert set(M.minimal_nonfaces()) == brute_minimal_nonfaces_powerset(M)
+        assert set(map(frozenset, M.minimal_nonfaces())) == brute_minimal_nonfaces_powerset(M)
 
 
 def test_minimal_nonfaces_against_brute_force_multigraphs():
@@ -106,13 +106,14 @@ def test_minimal_nonfaces_against_brute_force_multigraphs():
         M = morse_complex(G, BIG)
         if M.n_pairs > 14:
             continue
-        assert set(M.minimal_nonfaces()) == brute_minimal_nonfaces_powerset(M, G)
+        assert (set(map(frozenset, M.minimal_nonfaces()))
+                == brute_minimal_nonfaces_powerset(M, G))
 
 
 def test_faces_are_independence_system_of_nonfaces():
     for K in connected_complexes(4):
         M = morse_complex(K, BIG)
-        nonfaces = M.minimal_nonfaces()
+        nonfaces = list(map(frozenset, M.minimal_nonfaces()))
         faces = set(map(frozenset, M.faces()))
         for r in (1, 2, 3):
             for combo in combinations(range(M.n_pairs), r):

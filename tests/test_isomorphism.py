@@ -1,6 +1,7 @@
 """Isomorphism search tests."""
 
 import gc
+import hashlib
 import random
 import time
 from itertools import combinations, permutations
@@ -9,8 +10,8 @@ import pytest
 
 from morsecomplex import (Budget, find_isomorphism, find_multigraph_isomorphism,
                           morse_complex, Multigraph, VertexBijection)
-from morsecomplex.corpus import (connected_complexes, cycle_graph, full_simplex,
-                                 path_graph, permuted_copy, star_graph)
+from morsecomplex.corpus import (connected_complexes, connected_graphs, cycle_graph,
+                                 full_simplex, path_graph, permuted_copy, star_graph)
 from morsecomplex.errors import EnumerationBudgetError, TheoremContradictionError
 from morsecomplex.isomorphism import all_isomorphisms, multigraph_edge_map
 
@@ -104,6 +105,17 @@ def test_empty_and_point():
     assert find_isomorphism(empty, full_simplex("a")) is None
 
 
+def test_set_family_isomorphisms_on_zero_vertices():
+    # over no vertices the empty bijection maps a family onto another exactly
+    # when their member sizes agree, so when both hold the empty set or
+    # neither does
+    from morsecomplex.isomorphism import set_family_isomorphisms
+    assert list(set_family_isomorphisms(0, [()], 0, [()])) == [()]
+    assert list(set_family_isomorphisms(0, [], 0, [])) == [()]
+    assert list(set_family_isomorphisms(0, [], 0, [()])) == []
+    assert list(set_family_isomorphisms(0, [()], 0, [])) == []
+
+
 def test_contractible_morse_complexes_still_distinguished():
     # both Morse complexes collapse to a point, yet they are not isomorphic:
     # the complexes themselves force the negative verdict
@@ -168,7 +180,7 @@ def test_set_family_isomorphisms_equal_brute_force_in_order():
         perm = list(range(n))
         rng.shuffle(perm)
         for target in (fam, [frozenset(perm[i] for i in S) for S in fam]):
-            target_set = set(target)
+            target_set = set(map(frozenset, target))
             # a bijection maps the family into an equal-sized family only onto it
             brute = [img for img in permutations(range(n))
                      if all(frozenset(img[i] for i in S) in target_set for S in fam)]
@@ -322,6 +334,28 @@ def test_positive_searches_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_morse_witnesses_pinned():
+    # the raw witnesses between each member's Morse complex and that of a
+    # seeded relabelling, both ways round, and between the two complexes:
+    # which side the search runs from is decided by comparing the sides'
+    # structure certificates, so these pin that direction rule too
+    members = list(connected_complexes(5)) + list(connected_graphs(6))
+    morse = [morse_complex(K) for K in members]
+    h = hashlib.sha256()
+    count = 0
+    for seed in (0, 1, 2):
+        rng = random.Random(seed)
+        for K, M in zip(members, morse):
+            Kp, _ = permuted_copy(K, rng)
+            Mp = morse_complex(Kp)
+            for a, b in ((M, Mp), (Mp, M), (K, Kp)):
+                h.update(repr(find_isomorphism(a, b).items()).encode() + b"\n")
+                count += 1
+    assert count == 2592
+    assert h.hexdigest() == (
+        "af38de747cd417d81e234afece08227ca13e247d79130fa6297395f167c243bc")
 
 
 def _relabelled_multigraph(G, rng):

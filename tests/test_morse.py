@@ -142,7 +142,8 @@ def test_one_skeleton_morse_complex_is_the_index_0_block():
         n0 = sum(1 for p in M.pairs if p.index == 0)
         assert M1.pairs == M.pairs[:n0]
         block = frozenset(range(n0))
-        assert set(M1.minimal_nonfaces()) == {nf for nf in M.minimal_nonfaces() if nf <= block}
+        assert (set(map(frozenset, M1.minimal_nonfaces()))
+                == {nf for nf in map(frozenset, M.minimal_nonfaces()) if nf <= block})
 
 
 def test_boundary_rank_equals_betti_route():

@@ -637,7 +637,7 @@ def twin_classes(n: int, family: Iterable[frozenset[int]],
 def _twin_route_quotient_map(M):
     # the quotient map read off twin classes: the twin classes of the minimal
     # non-faces, each pair kept apart from a twin adjacent to it
-    nonfaces = M.minimal_nonfaces()
+    nonfaces = list(map(frozenset, M.minimal_nonfaces()))
     twin = twin_classes(M.n_pairs, nonfaces)
     nf_set = set(nonfaces)
     return [r if frozenset((r, i)) in nf_set else i for i, r in enumerate(twin)]
