@@ -8,7 +8,8 @@ eagerly (quadratic in the number of covers) and decides everything on them:
 ``_conflict`` (pairs sharing a cell), ``_arc`` (gradient arcs) and ``_rev``
 (their reverse), with ``_reach`` as the one reachability routine.  The
 1-skeleton, the minimal non-faces, the face list and the facets are all
-read off these tables on demand.
+read off these tables on demand; the last three are ascending tuples of
+pair indices, the form the isomorphism engine takes them in.
 
 Facet enumeration is layered: covers are sorted by index, gradient arcs
 never leave an index, and layers interact only through one interface (a

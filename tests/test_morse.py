@@ -403,12 +403,14 @@ def _grid(rows, cols):
 def test_minimal_nonfaces_pinned_in_order():
     # the non-faces of both exhaustive corpora, a path, a grid and a ladder,
     # in the order returned: the isomorphism search and the quotient read
-    # them in this order, so a faster circuit enumeration must keep it
+    # them in this order, so a faster circuit enumeration must keep it; each
+    # is an ascending tuple, which the structure certificate sorts as it is
     h = hashlib.sha256()
     sources = list(connected_complexes(5) + connected_multigraphs(4, 3))
     sources += [path_graph(80), _grid(5, 5), _grid(2, 10)]
     for X in sources:
         nonfaces = morse_complex(X).minimal_nonfaces()
+        assert all(type(S) is tuple and list(S) == sorted(set(S)) for S in nonfaces)
         h.update(repr([sorted(S) for S in nonfaces]).encode() + b"\n")
     assert h.hexdigest() == (
         "864228354a4ba14325d57a52cac831eef5bcd999e07f2b0e9c48b9f06b1c63f7")
