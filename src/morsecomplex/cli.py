@@ -165,6 +165,9 @@ def cmd_verify(args) -> int:
     if args.what != "corpus":
         raise MalformedInputError(f"unknown verification target {args.what!r}")
     cap = args.max_vertices
+    if cap is not None and cap < 1:
+        raise MalformedInputError(
+            f"--max-vertices caps the corpus scales and must be at least 1; got {cap}")
     kwargs = dict(seed=args.seed, budget=_budget(args))
     if cap is not None:
         kwargs.update(

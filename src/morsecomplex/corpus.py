@@ -4,13 +4,31 @@ isomorphism, plus seeded random variants.
 
 Exhaustive generators enumerate labelled objects, each an int bitmask over a
 fixed universe (subsets of the vertices, vertex pairs, or (pair,
-multiplicity) slots), and deduplicate with an orbit table: every vertex
-permutation is precomputed once as an index map on the universe, the first
+multiplicity) slots), and deduplicate with an orbit table: the first
 labelled member of a class adds its whole orbit to the table, and every
 later member costs one lookup (McKay, "Isomorph-free exhaustive
-generation", J. Algorithms 1998).  Complexes and multigraphs are emitted in
-canonical min-permutation form, computed for first members only.  All
-randomness flows through an explicit random.Random, so runs are
+generation", J. Algorithms 1998).  Each labelled object is met exactly
+once, so a member found in the table is removed from it, which keeps the
+table to the orbits still ahead of the search.  Every vertex permutation is precomputed
+once as an image-bit table, 1 << (position of the image) per universe
+position, so an image is sum(map(table.__getitem__, bits)).
+
+Complexes and multigraphs are emitted in canonical min-permutation form,
+the least sorted facet (or (pair, multiplicity)) list over all
+permutations, and it is read off the orbit itself: the orbit table numbers
+the universe backwards in tuple order, so that a higher bit is a smaller
+tuple.  All members of an orbit have equally many bits, so the least sorted
+list holds the least tuple where two members differ, and the canonical form
+is the orbit's max, decoded once.  Each class thus costs about two passes
+over its orbit.
+
+Complexes are the connected antichains of the subset universe, found by a
+depth-first search in which each node carries its addable set: a bitmask
+of the later subsets incomparable with everything it has chosen.  Its
+children are its set bits, each child's addable set the bits above its own
+minus the subsets comparable with it.
+
+All randomness flows through an explicit random.Random, so runs are
 reproducible from a seed.
 """
 
@@ -77,22 +95,23 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]], prefix: str = "v"
     return SimplicialComplex.closure(faces)
 
 
-def _index_maps(items: list[tuple[int, ...]],
-                perms: list[tuple[int, ...]]) -> list[list[int]]:
-    """Each vertex permutation as a map on positions in items, a list of
-    sorted vertex tuples closed under relabelling."""
-    index = {s: i for i, s in enumerate(items)}
-    return [[index[tuple(sorted(p[v] for v in s))] for s in items] for p in perms]
+def _image_tables(items: list[tuple[int, ...]],
+                  perms: list[tuple[int, ...]]) -> list[list[int]]:
+    """Each vertex permutation as an image-bit table on items, a list of
+    sorted vertex tuples closed under relabelling: entry i is 1 << j, where
+    items[j] is the image of items[i]."""
+    bit = {s: 1 << i for i, s in enumerate(items)}
+    return [[bit[tuple(sorted(p[v] for v in s))] for s in items] for p in perms]
 
 
 def _bits(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _orbit(bits: list[int], maps: list[list[int]]) -> set[int]:
+def _orbit(bits: list[int], tables: list[list[int]]) -> set[int]:
     """The images, as bitmasks, of the object with the given bit positions
-    under every index map."""
-    return {sum(1 << m[i] for i in bits) for m in maps}
+    under every image-bit table."""
+    return {sum(map(table.__getitem__, bits)) for table in tables}
 
 
 def _connected_cover(parts: list[int], full: int) -> bool:
@@ -111,6 +130,11 @@ def _connected_cover(parts: list[int], full: int) -> bool:
     return reach == full
 
 
+def _require_size(n: int, least: int, what: str) -> None:
+    if n < least:
+        raise MalformedInputError(f"{what} must be at least {least}; got {n}")
+
+
 @lru_cache(maxsize=None)
 def connected_graphs(n: int) -> tuple[SimplicialComplex, ...]:
     """All connected simple graphs on n vertices, up to isomorphism: the
@@ -119,27 +143,30 @@ def connected_graphs(n: int) -> tuple[SimplicialComplex, ...]:
     Each class's orbit goes into the table once, so every later member costs
     one lookup; the n! permutations make this practical for n <= 6.
     """
+    _require_size(n, 0, "a graph's vertex count")
     if n == 1:
         return (path_graph(1),)
     pairs = list(combinations(range(n), 2))
     edge_bits = [1 << u | 1 << v for u, v in pairs]
-    maps = _index_maps(pairs, list(permutations(range(n))))
+    tables = _image_tables(pairs, list(permutations(range(n))))
     full = (1 << n) - 1
     seen: set[int] = set()
     out: list[SimplicialComplex] = []
     for mask in range(1 << len(pairs)):
         if mask in seen:
+            seen.remove(mask)
             continue
         bits = _bits(mask)
         if not _connected_cover([edge_bits[i] for i in bits], full):
             continue
-        seen |= _orbit(bits, maps)
+        seen |= _orbit(bits, tables)
         out.append(graph_from_edges(n, [pairs[i] for i in bits]))
     return tuple(out)
 
 
 def random_connected_graph(n: int, rng: random.Random) -> SimplicialComplex:
     """A uniformly edge-sampled connected graph on n labelled vertices."""
+    _require_size(n, 1, "a connected graph's vertex count")
     all_edges = list(combinations(range(n), 2))
     while True:
         edges = [e for e in all_edges if rng.random() < 0.5]
@@ -152,42 +179,59 @@ def random_connected_graph(n: int, rng: random.Random) -> SimplicialComplex:
 def connected_complexes(max_vertices: int = 5) -> tuple[SimplicialComplex, ...]:
     """All connected simplicial complexes on at most max_vertices vertices,
     up to isomorphism (canonical min-permutation form)."""
+    _require_size(max_vertices, 0, "a corpus's vertex count")
     out = []
     for k in range(1, max_vertices + 1):
-        universe = [s for r in range(1, k + 1) for s in combinations(range(k), r)]
-        vmask = [sum(1 << v for v in s) for s in universe]
-        comparable = [sum(1 << j for j, b in enumerate(vmask) if (a & b) in (a, b))
-                      for a in vmask]
-        perms = list(permutations(range(k)))
-        maps = _index_maps(universe, perms)
+        # the search runs over universe, the orbit table over back; from two
+        # vertices up a singleton facet is an isolated vertex, so the search
+        # would find only disconnected families below it and leaves it out
+        universe = [s for r in range(min(2, k), k + 1) for s in combinations(range(k), r)]
+        back = sorted(universe, reverse=True)
+        position = {s: i for i, s in enumerate(back)}
+        bit = [1 << position[s] for s in universe]
+        vmask = [sum(1 << v for v in s) for s in back]
+        umask = [sum(1 << v for v in s) for s in universe]
+        incomparable = [sum(1 << j for j, b in enumerate(umask) if (a & b) not in (a, b))
+                        for a in umask]
+        tables = _image_tables(back, list(permutations(range(k))))
         full = (1 << k) - 1
         labs = _labels(k)
         seen: set[int] = set()
         # facet families are the antichains of the universe, listed in the
-        # order of a search that leaves each subset out before taking it
-        stack = [(0, 0)]
+        # order of a search that leaves each subset out before taking it; a
+        # node is (chosen, addable): the chosen subsets as a mask over back,
+        # the later subsets incomparable with all of them as one over universe
+        stack = [(0, (1 << len(universe)) - 1)]
         while stack:
-            mask, start = stack.pop()
-            stack.extend((mask | 1 << j, j + 1) for j in range(start, len(universe))
-                         if not mask & comparable[j])
+            mask, addable = stack.pop()
+            while addable:
+                low = addable & -addable
+                addable ^= low
+                j = low.bit_length() - 1
+                stack.append((mask | bit[j], addable & incomparable[j]))
             if mask in seen:
+                seen.remove(mask)
                 continue
             bits = _bits(mask)
             if not _connected_cover([vmask[i] for i in bits], full):
                 continue
-            seen |= _orbit(bits, maps)
-            chosen = [universe[i] for i in bits]
-            canon = min(tuple(sorted(tuple(sorted(p[v] for v in fs)) for fs in chosen))
-                        for p in perms)
+            orbit = _orbit(bits, tables)
+            seen |= orbit
+            # all members of an orbit have equally many facets, so the least
+            # sorted facet list holds the least facet where two differ: the
+            # highest differing bit over back
             out.append(SimplicialComplex.closure(
-                [[labs[v] for v in fs] for fs in canon]))
+                [[labs[v] for v in back[i]] for i in reversed(_bits(max(orbit)))]))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def connected_multigraphs(max_vertices: int = 4, max_multiplicity: int = 3) -> tuple[Multigraph, ...]:
     """All connected multigraphs with at most max_vertices vertices and at
-    most max_multiplicity parallel edges per class, up to isomorphism."""
+    most max_multiplicity parallel edges per class, up to isomorphism
+    (canonical min-permutation form)."""
+    _require_size(max_vertices, 0, "a corpus's vertex count")
+    _require_size(max_multiplicity, 0, "a corpus's edge multiplicity")
     out: list[Multigraph] = []
     mm = max_multiplicity
     for n in range(1, max_vertices + 1):
@@ -196,10 +240,14 @@ def connected_multigraphs(max_vertices: int = 4, max_multiplicity: int = 3) -> t
             continue
         pairs = list(combinations(range(n), 2))
         edge_bits = [1 << u | 1 << v for u, v in pairs]
-        perms = list(permutations(range(n)))
-        # slot e * mm + m - 1 stands for m parallel edges on pair e
-        maps = [[e * mm + r for e in m for r in range(mm)]
-                for m in _index_maps(pairs, perms)]
+        # slot e * mm + m - 1 stands for m parallel edges on pair e, and the
+        # orbit table numbers slot s as top - s, so that a higher bit is an
+        # earlier (pair, multiplicity); t.bit_length() - 1 is the index of
+        # the image of pair e under one permutation
+        top = len(pairs) * mm - 1
+        tables = [[1 << top - (t.bit_length() - 1) * mm - r
+                   for t in reversed(table) for r in reversed(range(mm))]
+                  for table in _image_tables(pairs, list(permutations(range(n))))]
         full = (1 << n) - 1
         labs = _labels(n)
         seen: set[int] = set()
@@ -207,19 +255,19 @@ def connected_multigraphs(max_vertices: int = 4, max_multiplicity: int = 3) -> t
             ids = _bits(support)
             if not _connected_cover([edge_bits[e] for e in ids], full):
                 continue
-            edges = [pairs[e] for e in ids]
-            for mults in product(range(1, mm + 1), repeat=len(ids)):
-                bits = [e * mm + m - 1 for e, m in zip(ids, mults)]
-                if sum(1 << i for i in bits) in seen:
+            for mults in product(range(mm), repeat=len(ids)):
+                bits = [top - e * mm - r for e, r in zip(ids, mults)]
+                mask = sum(1 << i for i in bits)
+                if mask in seen:
+                    seen.remove(mask)
                     continue
-                seen |= _orbit(bits, maps)
-                canon = min(
-                    tuple(sorted((tuple(sorted((p[u], p[v]))), m)
-                                 for (u, v), m in zip(edges, mults)))
-                    for p in perms)
+                orbit = _orbit(bits, tables)
+                seen |= orbit
                 triples = []
-                for (u, v), m in canon:
-                    for _ in range(m):
+                for i in reversed(_bits(max(orbit))):
+                    e, r = divmod(top - i, mm)
+                    u, v = pairs[e]
+                    for _ in range(r + 1):
                         triples.append((f"e{len(triples)}", labs[u], labs[v]))
                 out.append(Multigraph.from_edges(triples))
     return tuple(out)

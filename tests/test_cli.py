@@ -1,6 +1,7 @@
 """Command-line behaviour: outputs, determinism and the exit-code contract."""
 
 import hashlib
+import itertools
 import random
 import time
 
@@ -278,6 +279,14 @@ def test_verify_tiny(tmp_path, capsys):
     assert lines[-1].endswith("criteria passed")
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_verify_cap_below_one_exits_4(capsys, cap):
+    # below one vertex every corpus is empty and there is nothing to sample
+    code, out, err = run(capsys, "verify", "corpus", "--max-vertices", cap)
+    assert (code, out) == (4, "")
+    assert err.startswith("bad input: ") and len(err.splitlines()) == 1
+
+
 def test_unexpected_error_exits_5_without_traceback(tmp_path, capsys, monkeypatch):
     # exit 1 means a negative verdict, so a crash must not end with exit 1
     from morsecomplex import cli
@@ -406,3 +415,44 @@ def test_cli_transcript_pinned(tmp_path, capsys, monkeypatch):
     assert {c: codes.count(c) for c in sorted(set(codes))} == {0: 162, 1: 60, 2: 2, 3: 2, 4: 14}
     assert h.hexdigest() == (
         "6bc3c6db42fe123b9872be865fe74e5683c93a1d2cdc5a508b594ed3ad7d4bc5")
+
+
+def test_cli_transcript_small_corpus_and_facets_inputs(tmp_path, capsys, monkeypatch):
+    # one sha256 over (argv, exit code, stdout): build and stats on every
+    # member of connected_complexes(4), and build on the facet inputs K5, K6,
+    # C12, star12, bd3 and D3, each written with a seeded line order
+    from morsecomplex.corpus import connected_complexes
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MORSE_BUDGET_SECONDS", raising=False)
+    rng = random.Random(3201)
+
+    def put(name, lines):
+        lines = list(lines)
+        rng.shuffle(lines)
+        (tmp_path / name).write_text("".join(lines))
+        return name
+
+    argvs = []
+    for k, K in enumerate(connected_complexes(4)):
+        name = put(f"c{k}.cx", serialize_complex(K).splitlines(keepends=True))
+        argvs += [["build", name], ["stats", name]]
+    vs = [f"v{i}" for i in range(13)]
+    inputs = {
+        "K5": list(itertools.combinations(vs[:5], 2)),
+        "K6": list(itertools.combinations(vs[:6], 2)),
+        "C12": [(vs[i], vs[(i + 1) % 12]) for i in range(12)],
+        "star12": [(vs[0], vs[i]) for i in range(1, 13)],
+        "bd3": [[v for v in vs[:4] if v != w] for w in vs[:4]],
+        "D3": [vs[:4]],
+    }
+    for name, facets in inputs.items():
+        argvs += [["build", put(f"{name}.cx", (" ".join(f) + "\n" for f in facets))]]
+    h = hashlib.sha256()
+    codes = []
+    for argv in argvs:
+        code, out, _ = run(capsys, *argv)
+        codes.append(code)
+        h.update(repr((argv, code, out)).encode() + b"\n")
+    assert codes == [0] * 44
+    assert h.hexdigest() == (
+        "e8d7b1f9dbdf9b84937e42f3ee73f56e00a845a1d0e443573326415472250475")

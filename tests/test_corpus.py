@@ -2,14 +2,16 @@
 cross-check by the isomorphism search."""
 
 import hashlib
-from itertools import combinations
+import random
+from itertools import combinations, permutations, product
 
 import pytest
 
-from morsecomplex import find_isomorphism
+from morsecomplex import Multigraph, SimplicialComplex, find_isomorphism
 from morsecomplex.corpus import (boundary_simplex, connected_complexes,
                                  connected_graphs, connected_multigraphs,
-                                 cycle_graph, graph_from_edges, path_graph)
+                                 cycle_graph, graph_from_edges, path_graph,
+                                 random_connected_graph)
 from morsecomplex.errors import MalformedInputError
 
 
@@ -25,6 +27,10 @@ def complex_lines(corpus):
     return [repr((K.labels, K.label_facets())) for K in corpus]
 
 
+def multigraph_lines(corpus):
+    return [repr((G.labels, G.edge_ids, G.boundary)) for G in corpus]
+
+
 def test_connected_complexes_pinned():
     corpus = connected_complexes(5)
     assert len(corpus) == 176
@@ -35,7 +41,7 @@ def test_connected_complexes_pinned():
 def test_connected_multigraphs_pinned():
     corpus = connected_multigraphs(4, 3)
     assert len(corpus) == 270
-    assert digest(repr((G.labels, G.edge_ids, G.boundary)) for G in corpus) == (
+    assert digest(multigraph_lines(corpus)) == (
         "d65f6eeb1902b0f62cb0e62f29f232c1a756c7e111fa779233d362b4bb271cdb")
 
 
@@ -82,3 +88,115 @@ def test_generators_reject_bad_sizes():
         cycle_graph(2)
     with pytest.raises(MalformedInputError):
         path_graph(0)
+    # no connected graph has 0 vertices, so a draw could never succeed
+    for n in (0, -1):
+        with pytest.raises(MalformedInputError):
+            random_connected_graph(n, random.Random(0))
+    for call in (lambda: connected_graphs(-1), lambda: connected_complexes(-1),
+                 lambda: connected_multigraphs(-1), lambda: connected_multigraphs(3, -1)):
+        with pytest.raises(MalformedInputError):
+            call()
+    assert connected_graphs(0) == connected_complexes(0) == connected_multigraphs(0) == ()
+
+
+# The generators as first written, kept as an oracle: a search that scans
+# every later subset, orbits as sums of shifts over index maps, and the
+# canonical form as a minimum over all permutations.
+
+def _index_maps(items, perms):
+    index = {s: i for i, s in enumerate(items)}
+    return [[index[tuple(sorted(p[v] for v in s))] for s in items] for p in perms]
+
+
+def _bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _orbit(bits, maps):
+    return {sum(1 << m[i] for i in bits) for m in maps}
+
+
+def _connected(parts, full):
+    if not parts:
+        return False
+    reach = parts[0]
+    grown = True
+    while grown:
+        grown = False
+        for p in parts:
+            if p & reach and p & ~reach:
+                reach |= p
+                grown = True
+    return reach == full
+
+
+def oracle_complexes(max_vertices):
+    out = []
+    for k in range(1, max_vertices + 1):
+        universe = [s for r in range(1, k + 1) for s in combinations(range(k), r)]
+        vmask = [sum(1 << v for v in s) for s in universe]
+        comparable = [sum(1 << j for j, b in enumerate(vmask) if (a & b) in (a, b))
+                      for a in vmask]
+        perms = list(permutations(range(k)))
+        maps = _index_maps(universe, perms)
+        labs = [f"v{i}" for i in range(k)]
+        seen = set()
+        stack = [(0, 0)]
+        while stack:
+            mask, start = stack.pop()
+            stack.extend((mask | 1 << j, j + 1) for j in range(start, len(universe))
+                         if not mask & comparable[j])
+            if mask in seen:
+                continue
+            bits = _bits(mask)
+            if not _connected([vmask[i] for i in bits], (1 << k) - 1):
+                continue
+            seen |= _orbit(bits, maps)
+            chosen = [universe[i] for i in bits]
+            canon = min(tuple(sorted(tuple(sorted(p[v] for v in fs)) for fs in chosen))
+                        for p in perms)
+            out.append(SimplicialComplex.closure([[labs[v] for v in fs] for fs in canon]))
+    return out
+
+
+def oracle_multigraphs(max_vertices, mm):
+    out = []
+    for n in range(1, max_vertices + 1):
+        if n == 1:
+            out.append(Multigraph.from_edges([], isolated=["v0"]))
+            continue
+        pairs = list(combinations(range(n), 2))
+        edge_bits = [1 << u | 1 << v for u, v in pairs]
+        perms = list(permutations(range(n)))
+        maps = [[e * mm + r for e in m for r in range(mm)]
+                for m in _index_maps(pairs, perms)]
+        labs = [f"v{i}" for i in range(n)]
+        seen = set()
+        for support in range(1 << len(pairs)):
+            ids = _bits(support)
+            if not _connected([edge_bits[e] for e in ids], (1 << n) - 1):
+                continue
+            edges = [pairs[e] for e in ids]
+            for mults in product(range(1, mm + 1), repeat=len(ids)):
+                bits = [e * mm + m - 1 for e, m in zip(ids, mults)]
+                if sum(1 << i for i in bits) in seen:
+                    continue
+                seen |= _orbit(bits, maps)
+                canon = min(tuple(sorted((tuple(sorted((p[u], p[v]))), m)
+                                         for (u, v), m in zip(edges, mults)))
+                            for p in perms)
+                triples = []
+                for (u, v), m in canon:
+                    for _ in range(m):
+                        triples.append((f"e{len(triples)}", labs[u], labs[v]))
+                out.append(Multigraph.from_edges(triples))
+    return out
+
+
+
+def test_generators_match_the_oracle():
+    # parameters no pin covers: the same members, in the same order and form
+    assert complex_lines(connected_complexes(4)) == complex_lines(oracle_complexes(4))
+    for n, mm in ((3, 4), (4, 2)):
+        assert multigraph_lines(connected_multigraphs(n, mm)) == (
+            multigraph_lines(oracle_multigraphs(n, mm)))
