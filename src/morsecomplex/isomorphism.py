@@ -46,11 +46,12 @@ the default.  Intended for desk-scale inputs, exact always.
 from __future__ import annotations
 
 import time
+from itertools import islice
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .budget import DEFAULT_BUDGET, Budget, _check_deadline
 from .complexes import Multigraph, SimplicialComplex, VertexBijection
-from .errors import EnumerationBudgetError, TheoremContradictionError
+from .errors import EnumerationBudgetError, MalformedInputError, TheoremContradictionError
 from .morse import MorseComplex
 
 
@@ -67,11 +68,12 @@ def _iso_structure(obj) -> tuple[tuple[str, ...], Sequence[tuple[int, ...]]]:
     raise TypeError(f"cannot search isomorphisms of {type(obj).__name__}")
 
 
-def _index(n: int, family: Iterable[Collection[int]]
+def _index(n: int, family: Iterable[Collection[int]], pairs_only: bool = False
            ) -> tuple[list[tuple[int, ...]], list[list[int]], list[int], dict[int, int]]:
-    """A family indexed once: its distinct members as tuples, per vertex the
-    ids of the sets through it and its 2-set neighbourhood as a bitmask, and
-    each member's bitmask mapped to its id."""
+    """A family indexed once: the distinct members refinement reads, as
+    tuples (every one, or the 2-sets alone when pairs_only), per vertex the
+    ids of those through it, per vertex its 2-set neighbourhood as a bitmask,
+    and each distinct member's bitmask mapped to its id."""
     ids: dict[int, int] = {}
     sets: list[tuple[int, ...]] = []
     rows: list[list[int]] = [[] for _ in range(n)]
@@ -82,15 +84,17 @@ def _index(n: int, family: Iterable[Collection[int]]
             mask |= 1 << u
         if mask in ids:
             continue
-        ids[mask] = len(sets)
+        ids[mask] = len(ids)
         members = tuple(S)
-        for u in members:
-            rows[u].append(len(sets))
-        sets.append(members)
         if len(members) == 2:
             x, y = members
             nbr[x] |= 1 << y
             nbr[y] |= 1 << x
+        elif pairs_only:
+            continue
+        for u in members:
+            rows[u].append(len(sets))
+        sets.append(members)
     return sets, rows, nbr, ids
 
 
@@ -176,14 +180,19 @@ def _refine(sets_a: list[tuple[int, ...]], rows_a: list[list[int]],
 
 def set_family_isomorphisms(n_a: int, fams_a: Sequence[Collection[int]],
                             n_b: int, fams_b: Sequence[Collection[int]], *,
-                            budget: Budget = DEFAULT_BUDGET) -> Iterator[tuple[int, ...]]:
+                            budget: Budget = DEFAULT_BUDGET,
+                            _pairs_only: bool = False) -> Iterator[tuple[int, ...]]:
     """Yield every bijection (as a tuple image) mapping fams_a onto fams_b.
 
     A family is any sequence of collections of vertex ids in range(n), such
     as tuples or frozensets; the order within a member does not matter.
     Bijections appear in lexicographic order of their image tuples.  The
     search raises EnumerationBudgetError once it runs past the budget's
-    deadline, counted from its start.
+    deadline, counted from its start.  The colour refinement reads every
+    member, or, for minimal non-faces of Morse complexes (``find_isomorphism``
+    and ``all_isomorphisms`` set the internal ``_pairs_only``), the 2-sets
+    alone; either way every member is checked, so the bijections and their
+    order are the same.
     """
     deadline = budget.deadline()
     if n_a != n_b:
@@ -194,9 +203,9 @@ def set_family_isomorphisms(n_a: int, fams_a: Sequence[Collection[int]],
         # with no vertices every member is empty, and the sizes agree
         yield ()
         return
-    sets_a, rows_a, nbr_a, _ = _index(n_a, fams_a)
-    sets_b, rows_b, nbr_b, masks_b = _index(n_b, fams_b)
-    if len(sets_a) != len(sets_b):
+    sets_a, rows_a, nbr_a, masks_a = _index(n_a, fams_a, _pairs_only)
+    sets_b, rows_b, nbr_b, masks_b = _index(n_b, fams_b, _pairs_only)
+    if len(masks_a) != len(masks_b):
         return
     refined = _refine(sets_a, rows_a, sets_b, rows_b, deadline)
     if refined is None:
@@ -204,9 +213,10 @@ def set_family_isomorphisms(n_a: int, fams_a: Sequence[Collection[int]],
     col_a, col_b = refined
 
     # A is assigned in order, so a set of A becomes fully assigned exactly
-    # when its largest member is
-    closing_a: list[list[tuple[int, ...]]] = [[] for _ in range(n_a)]
-    for S in sets_a:
+    # when its largest member is; every member is checked, also where
+    # refinement read the 2-sets alone
+    closing_a: list[list[Collection[int]]] = [[] for _ in range(n_a)]
+    for S in fams_a:
         if S:
             closing_a[max(S)].append(S)
 
@@ -279,14 +289,14 @@ def set_family_isomorphisms(n_a: int, fams_a: Sequence[Collection[int]],
             done |= 1 << t
         return dom, hold, done
 
-    def image_mask(S: tuple[int, ...]) -> int:
+    def image_mask(S: Collection[int]) -> int:
         mask = 0
         for u in S:
             mask |= 1 << fwd[u]
         return mask
 
     def verify() -> bool:
-        return {image_mask(S) for S in sets_a} == masks_b.keys()
+        return {image_mask(S) for S in fams_a} == masks_b.keys()
 
     # a domain starts as the vertex's colour class, and each vertex of B is
     # held by the vertices of A whose domain contains it
@@ -334,16 +344,17 @@ def set_family_isomorphisms(n_a: int, fams_a: Sequence[Collection[int]],
 
 
 def _search_inputs(K, L):
-    """Both sides' ``_iso_structure`` and the budget the search runs under:
-    the tighter of two Morse complexes' budgets, else the default.  Raises
+    """Both sides' ``_iso_structure`` and the search's keywords: the budget
+    it runs under, the tighter of two Morse complexes' budgets, else the
+    default; and for Morse complexes, refinement on the 2-sets alone.  Raises
     TypeError when K and L are of different kinds, whose defining families
     (minimal non-faces against facets) are not comparable."""
-    if isinstance(K, MorseComplex) != isinstance(L, MorseComplex):
+    morse = isinstance(K, MorseComplex)
+    if morse != isinstance(L, MorseComplex):
         raise TypeError(f"cannot search isomorphisms between a {type(K).__name__} "
                         f"and a {type(L).__name__}")
-    budget = (min(K.budget, L.budget, key=lambda b: b.max_seconds)
-              if isinstance(K, MorseComplex) else DEFAULT_BUDGET)
-    return _iso_structure(K), _iso_structure(L), budget
+    budget = min(K.budget, L.budget, key=lambda b: b.max_seconds) if morse else DEFAULT_BUDGET
+    return _iso_structure(K), _iso_structure(L), {"budget": budget, "_pairs_only": morse}
 
 
 def _certificate(labels, fams):
@@ -363,27 +374,26 @@ def find_isomorphism(K, L) -> Optional[VertexBijection]:
     search outlasts the tighter budget of two Morse complexes (the default
     budget for simplicial complexes).
     """
-    (labels_a, fams_a), (labels_b, fams_b), budget = _search_inputs(K, L)
+    (labels_a, fams_a), (labels_b, fams_b), options = _search_inputs(K, L)
     backwards = _certificate(labels_b, fams_b) < _certificate(labels_a, fams_a)
     if backwards:
         labels_a, fams_a, labels_b, fams_b = labels_b, fams_b, labels_a, fams_a
     for image in set_family_isomorphisms(len(labels_a), fams_a, len(labels_b), fams_b,
-                                         budget=budget):
+                                         **options):
         bij = VertexBijection({labels_a[v]: labels_b[w] for v, w in enumerate(image)})
         return bij.inverse() if backwards else bij
     return None
 
 
 def all_isomorphisms(K, L, limit: Optional[int] = None) -> list[VertexBijection]:
-    """Every isomorphism K -> L in lexicographic order (optionally capped)."""
-    (labels_a, fams_a), (labels_b, fams_b), budget = _search_inputs(K, L)
-    out = []
-    for image in set_family_isomorphisms(len(labels_a), fams_a, len(labels_b), fams_b,
-                                         budget=budget):
-        out.append(VertexBijection({labels_a[v]: labels_b[w] for v, w in enumerate(image)}))
-        if limit is not None and len(out) >= limit:
-            break
-    return out
+    """Every isomorphism K -> L in lexicographic order, or the first ``limit``
+    of them; MalformedInputError for a negative limit."""
+    if limit is not None and limit < 0:
+        raise MalformedInputError(f"limit must be at least 0, got {limit}")
+    (labels_a, fams_a), (labels_b, fams_b), options = _search_inputs(K, L)
+    images = set_family_isomorphisms(len(labels_a), fams_a, len(labels_b), fams_b, **options)
+    return [VertexBijection({labels_a[v]: labels_b[w] for v, w in enumerate(image)})
+            for image in islice(images, limit)]
 
 
 def find_multigraph_isomorphism(

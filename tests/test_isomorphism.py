@@ -12,7 +12,8 @@ from morsecomplex import (Budget, find_isomorphism, find_multigraph_isomorphism,
                           morse_complex, Multigraph, VertexBijection)
 from morsecomplex.corpus import (connected_complexes, connected_graphs, cycle_graph,
                                  full_simplex, path_graph, permuted_copy, star_graph)
-from morsecomplex.errors import EnumerationBudgetError, TheoremContradictionError
+from morsecomplex.errors import (EnumerationBudgetError, MalformedInputError,
+                                 TheoremContradictionError)
 from morsecomplex.isomorphism import all_isomorphisms, multigraph_edge_map
 
 
@@ -51,6 +52,18 @@ def test_f_vector_preserved():
         bij = find_isomorphism(K, Kp)
         assert bij is not None
         assert K.f_vector() == Kp.f_vector()
+
+
+def test_all_isomorphisms_limit():
+    # the cap counts the maps returned: none at 0, and a negative cap is
+    # refused rather than read as one
+    S = star_graph(3)
+    assert len(all_isomorphisms(S, S)) == 6
+    assert all_isomorphisms(S, S, limit=0) == []
+    assert all_isomorphisms(S, S, limit=2) == all_isomorphisms(S, S)[:2]
+    assert len(all_isomorphisms(S, S, limit=7)) == 6
+    with pytest.raises(MalformedInputError, match="limit"):
+        all_isomorphisms(S, S, limit=-1)
 
 
 def test_lexicographically_least_witness():
@@ -172,11 +185,13 @@ def _marker_families():
 def test_set_family_isomorphisms_equal_brute_force_in_order():
     # the domain-pruned search yields exactly the filtered permutations, in
     # lexicographic order, also towards a relabelled copy, on Morse complexes
-    # and on the chain sets and 3-sets of multigraph marker encodings
+    # (refined on every member and on the 2-sets alone, as Morse searches
+    # are) and on the chain sets and 3-sets of multigraph marker encodings
     from itertools import permutations
     from morsecomplex.isomorphism import set_family_isomorphisms
     rng = random.Random(4)
-    for n, fam in _small_morse_families() + _marker_families():
+    morse = _small_morse_families()
+    for n, fam in morse + _marker_families():
         perm = list(range(n))
         rng.shuffle(perm)
         for target in (fam, [frozenset(perm[i] for i in S) for S in fam]):
@@ -185,7 +200,21 @@ def test_set_family_isomorphisms_equal_brute_force_in_order():
             brute = [img for img in permutations(range(n))
                      if all(frozenset(img[i] for i in S) in target_set for S in fam)]
             assert list(set_family_isomorphisms(n, fam, n, target)) == brute
+            if (n, fam) in morse:
+                assert list(set_family_isomorphisms(n, fam, n, target, _pairs_only=True)) == brute
             assert brute
+
+
+def test_pairs_only_refinement_leaves_the_3_sets_to_the_checks():
+    # the 2-sets of all three families form the path 0-1-2-3, so refining
+    # on them splits the ends from the middle alike and rejects nothing; the
+    # 3-sets decide, checked as their largest vertex is assigned
+    from morsecomplex.isomorphism import set_family_isomorphisms
+    path = [(0, 1), (1, 2), (2, 3)]
+    A, B, C = path + [(0, 1, 2)], path + [(0, 1, 3)], path + [(1, 2, 3)]
+    for pairs_only in (False, True):
+        assert list(set_family_isomorphisms(4, A, 4, B, _pairs_only=pairs_only)) == []
+        assert list(set_family_isomorphisms(4, A, 4, C, _pairs_only=pairs_only)) == [(3, 2, 1, 0)]
 
 
 def _incidence(n, family):
@@ -416,6 +445,25 @@ def test_multigraph_isomorphism_equals_brute_force():
             zipped.update(zip(G.edges_between(u, v), H.edges_between(bij(u), bij(v))))
         assert emap == zipped
     assert n_found > len(small)
+
+
+def test_multigraph_morse_witnesses_pinned():
+    # the raw witnesses between the Morse complexes of each member of
+    # connected_multigraphs(4, 3) and of a seeded relabelling, both ways
+    # round: the reconstruction inputs whose searches the colour refinement
+    # shapes most
+    from morsecomplex.corpus import connected_multigraphs
+    rng = random.Random(0)
+    h = hashlib.sha256()
+    count = 0
+    for G in connected_multigraphs(4, 3):
+        M, Mp = morse_complex(G), morse_complex(_relabelled_multigraph(G, rng))
+        for a, b in ((M, Mp), (Mp, M)):
+            h.update(repr(find_isomorphism(a, b).items()).encode() + b"\n")
+            count += 1
+    assert count == 540
+    assert h.hexdigest() == (
+        "a6e92e5c06397bc638e54e6b21ef95b86a55d6cddb14ebf062c21ac3ce295cc7")
 
 
 def test_edge_map_raises_on_unequal_classes():
