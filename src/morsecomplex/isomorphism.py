@@ -19,9 +19,16 @@ one.  Each family is indexed once: its member tuples, the sets through each
 vertex, the 2-set neighbourhoods and the members' bitmasks, against which
 every image is checked.  Iterated partition refinement over incidence
 profiles colours both sides first; a round re-keys only the sets and
-vertices its last splits touched.  Then each vertex of A keeps a domain: a
-bitmask of the vertices of B it may still map to, which starts as its colour
-class (Ullmann's bit-vector domains, J. Exp. Algorithmics 15, 2010).
+vertices its last splits touched.  Between two Morse complexes it reads the
+2-element non-faces alone, which every isomorphism maps onto the other
+side's: the stable colouring does not depend on the labelling, so the
+coarser colouring only keeps images that no isomorphism uses.  For a
+complex those 2-sets are the line graph of its Hasse diagram, which
+determines the diagram (Whitney, Amer. J. Math. 54, 1932), so little
+pruning is lost, while refining on every circuit costs more than it saves.
+Then each vertex of A keeps a domain: a bitmask of the vertices of B it may
+still map to, which starts as its colour class (Ullmann's bit-vector
+domains, J. Exp. Algorithmics 15, 2010).
 Assigning v -> w removes w from every later domain and intersects it with
 the 2-set neighbourhood of w where the later vertex is a 2-set neighbour of
 v, else with its complement.  A domain left with one vertex forces it and
@@ -30,9 +37,10 @@ is sparse: per vertex of B the search keeps its holders, the vertices of A
 whose domain contains it, so forcing t -> w visits only t's later
 neighbours and the holders of w and of its neighbours, the only domains it
 can change; and a vertex forced by an earlier assignment is not propagated
-again when its own depth comes.  Each set of A is checked when its largest
-vertex is assigned; the families have equal size, so a bijection passing
-every check maps one onto the other.  Domains only cut subtrees that yield
+again when its own depth comes.  Each set of A, every non-face included
+where refinement read the 2-sets alone, is checked when its largest vertex
+is assigned; the families have equal size, so a bijection passing every
+check maps one onto the other.  Domains only cut subtrees that yield
 nothing, so the bijections found, their order and the lexicographically
 least witness are exactly those of the plain backtracking search.
 The search runs on an explicit stack, so its depth (the vertex count) is not
@@ -366,8 +374,9 @@ def find_isomorphism(K, L) -> Optional[VertexBijection]:
     """A vertex bijection inducing an isomorphism, or None.
 
     Accepts two simplicial complexes (decided on facet families) or two
-    Morse complexes (decided on minimal non-faces); TypeError for anything
-    else, a mixed pair included.  The search runs from the side with the
+    Morse complexes (decided on minimal non-faces, refined on the 2-element
+    ones and each checked in the search); TypeError for anything else, a
+    mixed pair included.  The search runs from the side with the
     smaller structure certificate, each side's computed once, and returns the
     lexicographically least witness there, inverted when that side is L; so
     the two directions always agree.  Raises EnumerationBudgetError when the

@@ -190,8 +190,9 @@ def test_set_family_isomorphisms_equal_brute_force_in_order():
     from itertools import permutations
     from morsecomplex.isomorphism import set_family_isomorphisms
     rng = random.Random(4)
-    morse = _small_morse_families()
-    for n, fam in morse + _marker_families():
+    cases = [(n, fam, (False, True)) for n, fam in _small_morse_families()]
+    cases += [(n, fam, (False,)) for n, fam in _marker_families()]
+    for n, fam, modes in cases:
         perm = list(range(n))
         rng.shuffle(perm)
         for target in (fam, [frozenset(perm[i] for i in S) for S in fam]):
@@ -199,9 +200,9 @@ def test_set_family_isomorphisms_equal_brute_force_in_order():
             # a bijection maps the family into an equal-sized family only onto it
             brute = [img for img in permutations(range(n))
                      if all(frozenset(img[i] for i in S) in target_set for S in fam)]
-            assert list(set_family_isomorphisms(n, fam, n, target)) == brute
-            if (n, fam) in morse:
-                assert list(set_family_isomorphisms(n, fam, n, target, _pairs_only=True)) == brute
+            for pairs_only in modes:
+                assert list(set_family_isomorphisms(n, fam, n, target,
+                                                    _pairs_only=pairs_only)) == brute
             assert brute
 
 
