@@ -55,8 +55,8 @@ def test_build_budget_exit(tmp_path, capsys):
 
 
 def test_reconstruct_search_budget_exit(tmp_path, capsys):
-    # two relabellings of a cycle whose isomorphism search runs for some 2.5 s
-    C = cycle_graph(1000)
+    # two relabellings of a cycle whose isomorphism search runs for some 6 s
+    C = cycle_graph(2000)
     P, _ = permuted_copy(C, random.Random(1))
     Q, _ = permuted_copy(C, random.Random(0))
     files = [write(tmp_path, name, "".join(" ".join(K.to_labels(f)) + "\n" for f in K.facets()))
@@ -456,3 +456,38 @@ def test_cli_transcript_small_corpus_and_facets_inputs(tmp_path, capsys, monkeyp
     assert codes == [0] * 44
     assert h.hexdigest() == (
         "e8d7b1f9dbdf9b84937e42f3ee73f56e00a845a1d0e443573326415472250475")
+
+
+def test_build_of_larger_facet_inputs_pinned(tmp_path, capsys, monkeypatch):
+    # one sha256 over (argv, exit code, stdout) of build on K7, the path P16,
+    # the cycle C16 (graphs, whose facets are the maximal rooted forests) and
+    # the boundary of the 4-simplex, whose 8,328,325 facets are over the
+    # default budget (exit 2); pinned before index-0 layers were pruned to
+    # the matchings that close a facet
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MORSE_BUDGET_SECONDS", raising=False)
+    rng = random.Random(3401)
+
+    def put(name, lines):
+        lines = list(lines)
+        rng.shuffle(lines)
+        (tmp_path / name).write_text("".join(lines))
+        return name
+
+    vs = [f"v{i}" for i in range(16)]
+    inputs = {
+        "K7": list(itertools.combinations(vs[:7], 2)),
+        "P16": [(vs[i], vs[i + 1]) for i in range(15)],
+        "C16": [(vs[i], vs[(i + 1) % 16]) for i in range(16)],
+        "bd4": [[v for v in vs[:5] if v != w] for w in vs[:5]],
+    }
+    h = hashlib.sha256()
+    codes = []
+    for name, facets in inputs.items():
+        argv = ["build", put(f"{name}.cx", (" ".join(f) + "\n" for f in facets))]
+        code, out, _ = run(capsys, *argv)
+        codes.append(code)
+        h.update(repr((argv, code, out)).encode() + b"\n")
+    assert codes == [0, 0, 0, 2]
+    assert h.hexdigest() == (
+        "5b52f82525b41e294c753749aac579d72efa94e7aa3907fcb07d55e5fabbd9a8")

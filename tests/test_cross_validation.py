@@ -11,7 +11,8 @@ from itertools import combinations
 from morsecomplex import (Budget, HasseDiagram, Multigraph, is_acyclic,
                           is_matching, morse_complex)
 from morsecomplex.corpus import (connected_complexes, connected_graphs,
-                                 connected_multigraphs, full_simplex)
+                                 connected_multigraphs, cycle_graph, full_simplex,
+                                 path_graph, star_graph)
 
 BIG = Budget(max_facets=10**7, max_seconds=300.0)
 
@@ -83,6 +84,21 @@ def test_facet_engine_against_face_filter_on_multigraphs():
         if M.n_pairs > 20:
             continue
         assert set(map(frozenset, M.facets())) == maximal_faces_by_extension(M)
+
+
+def test_path_cycle_and_star_facets_against_independent_counts():
+    # a graph has one layer, which the facet engine prunes to the matchings
+    # that close a facet; the face filter and the stars' closed form (a
+    # facet roots a spanning tree, and the star's roots are its n + 1
+    # vertices) count them without that pruning
+    for n in range(2, 13):
+        for G in [path_graph(n)] + ([cycle_graph(n)] if n >= 3 else []):
+            M = morse_complex(G, BIG)
+            expected = maximal_faces_by_extension(M)
+            assert M.facet_count() == len(expected)
+            assert set(map(frozenset, M.facets())) == expected
+    for n in range(1, 13):
+        assert morse_complex(star_graph(n)).facet_count() == n + 1
 
 
 def test_minimal_nonfaces_against_brute_force():

@@ -342,6 +342,53 @@ def test_layer_extendable_sets_from_scratch():
         check_extendable_sets(morse_complex(obj))
 
 
+def check_closing_members(M):
+    """The only layer of a graph, pruned to its closing members, against a
+    recomputation from scratch and the full enumeration: every stored member
+    is an acyclic matching with the right cell masks to which no cover of the
+    layer can be added, none repeats, and the stored set is exactly the
+    maximal members of the full enumeration, found by containment."""
+    blocks, sbit, tbit = M._layers()
+    assert list(blocks) == [0]
+    block = blocks[0]
+    groups = M._forest_matchings(block, sbit, tbit, float("inf"), 10 ** 7, True)
+    stored = set()
+    for sm, members in groups.items():
+        for ids, tm, avail in members:
+            mask = sum(1 << c for c in ids)
+            assert list(ids) == sorted(ids) and mask not in stored
+            stored.add(mask)
+            assert M._is_simplex_mask(mask)
+            assert sm == sum(sbit[c] for c in ids)
+            assert tm == sum(tbit[c] for c in ids)
+            assert avail == 0
+            assert all((mask >> c) & 1 or M._conflict[c] & mask or M._creates_cycle(c, mask)
+                       for c in block)
+    full = {sum(1 << c for c in ids)
+            for members in M._layer_matchings(block, sbit, tbit, float("inf"), 10 ** 7).values()
+            for ids, _, _ in members}
+    maximal = {mask for mask in full
+               if not any(not (mask >> c) & 1 and mask | 1 << c in full for c in block)}
+    assert stored == maximal
+
+
+def test_closing_layer_members_from_scratch():
+    graphs = [K for K in connected_complexes(4) if max(map(len, K.simplices)) == 2]
+    assert len(graphs) == 9
+    for obj in graphs + list(connected_graphs(5)) + list(connected_multigraphs(4, 2)):
+        M = morse_complex(obj)
+        if M.n_pairs:
+            check_closing_members(M)
+
+
+def test_closing_walk_time_budget_error():
+    # the pruned walk over C20's only layer takes far more than 4096 steps,
+    # so it reaches a deadline check and must stop on the expired budget
+    M = morse_complex(cycle_graph(20), Budget(max_seconds=0))
+    with pytest.raises(EnumerationBudgetError, match="enumerating layer matchings"):
+        M.facet_count()
+
+
 def pair_arcs_by_definition(pairs, G):
     """Arcs p -> q by comparing every two pairs of an index."""
     arcs = {}
