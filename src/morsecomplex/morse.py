@@ -22,13 +22,13 @@ the output before anything is listed; a state depends on a matching only
 through its source mask, so each layer's matchings are grouped by it.  The
 count is exact, which lets the facet budget fail fast and loudly.
 
-At index 0 the acyclic matchings are rooted forests (each matched vertex
-points along its edge), so that layer tracks each vertex's root instead of
-walking gradient paths.  For a graph or multigraph it is the only layer, and
+For a graph or multigraph the index-0 layer is the only one, its acyclic
+matchings are rooted forests (each matched vertex points along its edge) and
 its facets are the maximal rooted forests (Chari & Joswig, Discrete Math.
-302, 2005): there the search keeps only the matchings that close a facet and
-cuts every branch that cannot reach one, so it costs about the facets, not
-the faces.
+302, 2005).  There a separate walk tracks each vertex's root instead of
+walking gradient paths, keeps only the matchings that close a facet and cuts
+every branch that cannot reach one, so it costs about the facets, not the
+faces.
 """
 
 from __future__ import annotations
@@ -506,11 +506,8 @@ class MorseComplex:
         backward closure inside the parent.  The child's DFS candidates are
         its avail among the parent's remaining higher candidates, which
         keeps the enumeration order.  ``cap`` bounds the enumeration as a
-        memory guard.  The index-0 layer is a forest of rooted trees and is
-        enumerated by ``_forest_matchings`` instead, in the same order.
+        memory guard.
         """
-        if self._indices[block.start] == 0:
-            return self._forest_matchings(block, sbit, tbit, deadline, cap, False)
         conflict, arc, rev = self._conflict, self._arc, self._rev
         reach = self._reach
         groups: dict[int, list[tuple[tuple[int, ...], int, int]]] = {}
@@ -546,11 +543,11 @@ class MorseComplex:
         return groups
 
     def _forest_matchings(self, block: range, sbit: list[int], tbit: list[int],
-                          deadline: float, cap: int, closing: bool
+                          deadline: float, cap: int
                           ) -> dict[int, list[tuple[tuple[int, ...], int, int]]]:
-        """``_layer_matchings`` of the index-0 layer, or with ``closing``
-        only its members with an empty avail, the matchings no cover of the
-        layer extends.
+        """The members of ``_layer_matchings`` of the index-0 layer with an
+        empty avail, the matchings no cover of the layer extends, for a
+        complex whose only layer that is (a graph or multigraph).
 
         At index 0 a gradient arc runs from (v, e) to every cover from the
         other end w of e, so an acyclic matching is a forest of rooted
@@ -559,20 +556,19 @@ class MorseComplex:
         root and, per root, ``into``: the covers whose other end lies in its
         tree.  Adding (v, e), v a root, joins v's tree to that of w's root
         r, and the covers that then close a cycle are exactly
-        ``out[r] & into[v]`` (``out`` the covers from a vertex), the
-        successors of both of c's closures that ``_layer_matchings`` walks.
+        ``out[r] & into[v]`` (``out`` the covers from a vertex).
 
-        A closing walk branches as Bron and Kerbosch's pivoting does (CACM
-        16, 1973).  A cover u of the avail must be added or ruled out in
-        every closing matching below the node, and only a candidate in
-        conflict with u, or one from the root of the tree holding u's other
-        end (re-rooting that tree), rules it out.  So the node branches only on those
-        candidates and u itself, for a pivot u that leaves few (the first
-        that leaves one, or else the fewest), and is cut when a u that is no
-        candidate leaves none.  Branch i excludes the branches before it, so
-        each matching is still found once, but in another order; members are
-        kept as they are met, with their covers sorted.  ``cap`` bounds the
-        members stored, not the nodes walked.
+        The walk branches as Bron and Kerbosch's pivoting does (CACM 16,
+        1973).  A cover u of the avail must be added or ruled out in every
+        closing matching below the node, and only a candidate in conflict
+        with u, or one from the root of the tree holding u's other end
+        (re-rooting that tree), rules it out.  So the node branches only on
+        those candidates and u itself, for a pivot u that leaves few (the
+        first that leaves one, or else the fewest), and is cut when a u that
+        is no candidate leaves none.  Branch i excludes the branches before
+        it, so each matching is found once; members are kept as they are
+        met, with their covers sorted.  ``cap`` bounds the members stored,
+        not the nodes walked.
         """
         conflict = self._conflict
         covers, children = self.hasse.covers, self.hasse.children
@@ -595,8 +591,8 @@ class MorseComplex:
         groups: dict[int, list[tuple[tuple[int, ...], int, int]]] = {}
         full = (1 << block.stop) - (1 << block.start)
         # a node: cover ids, source and target cell masks, candidates, avail,
-        # and the roots and per-root ``into`` (None where it has no
-        # candidates, so never branches)
+        # and the roots and per-root ``into``; every node on the stack has
+        # candidates, and a member is stored when it is met as a child
         stack = [((), 0, 0, full, full, list(range(n_vertices)), into0)]
         steps = stored = 0
         while stack:
@@ -607,28 +603,18 @@ class MorseComplex:
                 if stored > cap:
                     raise EnumerationBudgetError(
                         f"a single index layer has over {cap} matchings")
-            if not closing:
-                stored += 1
-                group = groups.get(sm)
-                if group is None:
-                    group = groups[sm] = []
-                group.append((ids, tm, avail))
-            branch = cand
-            if closing and cand:
-                # the pivot: a cover of the avail with few candidates that
-                # rule it out, itself included
-                fewest = cand.bit_count()
-                u_rest = avail
-                while u_rest and fewest > 1:
-                    bu = u_rest & -u_rest
-                    u_rest ^= bu
-                    u = bu.bit_length() - 1
-                    killers = (bu | conflict[u] | out[root[far[u]]]) & cand
-                    k = killers.bit_count()
-                    if k < fewest:
-                        branch, fewest = killers, k
-                if not fewest:
-                    continue
+            # the pivot: a cover of the avail with few candidates that rule
+            # it out, itself included
+            branch, fewest = cand, cand.bit_count()
+            u_rest = avail
+            while u_rest and fewest > 1:
+                bu = u_rest & -u_rest
+                u_rest ^= bu
+                u = bu.bit_length() - 1
+                killers = (bu | conflict[u] | out[root[far[u]]]) & cand
+                k = killers.bit_count()
+                if k < fewest:
+                    branch, fewest = killers, k
             rest = cand
             f = branch
             while f:
@@ -642,24 +628,17 @@ class MorseComplex:
                 sub = child & rest
                 if sub:
                     # v's tree joins r's
-                    sub_root = [r if x == v else x for x in root]
                     sub_into = into[:]
                     sub_into[r] |= into[v]
-                elif closing:
-                    # a closing walk keeps its members as it meets them, with
-                    # their covers sorted, and drops those still extendable
-                    if not child:
-                        stored += 1
-                        sub_sm = sm | sbit[c]
-                        group = groups.get(sub_sm)
-                        if group is None:
-                            group = groups[sub_sm] = []
-                        group.append((tuple(sorted(ids + (c,))), tm | tbit[c], 0))
-                    continue
-                else:
-                    sub_root = sub_into = None
-                stack.append((ids + (c,), sm | sbit[c], tm | tbit[c],
-                              sub, child, sub_root, sub_into))
+                    stack.append((ids + (c,), sm | sbit[c], tm | tbit[c], sub, child,
+                                  [r if x == v else x for x in root], sub_into))
+                elif not child:
+                    stored += 1
+                    sub_sm = sm | sbit[c]
+                    group = groups.get(sub_sm)
+                    if group is None:
+                        group = groups[sub_sm] = []
+                    group.append((tuple(sorted(ids + (c,))), tm | tbit[c], 0))
         return groups
 
     def _facet_engine(self, budget: Budget):
@@ -703,7 +682,7 @@ class MorseComplex:
         last = len(ks) - 1
         if ks == [0]:
             # the index-0 layer is also the last: keep only its closing members
-            layers = [self._forest_matchings(blocks[0], sbit, tbit, deadline, cap, True)]
+            layers = [self._forest_matchings(blocks[0], sbit, tbit, deadline, cap)]
         else:
             layers = [self._layer_matchings(blocks[k], sbit, tbit, deadline, cap)
                       for k in ks]

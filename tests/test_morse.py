@@ -351,7 +351,7 @@ def check_closing_members(M):
     blocks, sbit, tbit = M._layers()
     assert list(blocks) == [0]
     block = blocks[0]
-    groups = M._forest_matchings(block, sbit, tbit, float("inf"), 10 ** 7, True)
+    groups = M._forest_matchings(block, sbit, tbit, float("inf"), 10 ** 7)
     stored = set()
     for sm, members in groups.items():
         for ids, tm, avail in members:
