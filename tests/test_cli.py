@@ -491,3 +491,14 @@ def test_build_of_larger_facet_inputs_pinned(tmp_path, capsys, monkeypatch):
     assert codes == [0, 0, 0, 2]
     assert h.hexdigest() == (
         "5b52f82525b41e294c753749aac579d72efa94e7aa3907fcb07d55e5fabbd9a8")
+
+
+def test_build_of_full_4_simplex_refused_pinned(tmp_path, capsys, monkeypatch):
+    # the paper's example: M(D4) has 16,369,045 facets, over the default
+    # facet budget, so build prints nothing and exits 2 with one stderr line
+    monkeypatch.delenv("MORSE_BUDGET_SECONDS", raising=False)
+    f = write(tmp_path, "d4.cx", "v0 v1 v2 v3 v4\n")
+    code, out, err = run(capsys, "build", f)
+    assert (code, out) == (2, "")
+    assert err.startswith("budget exceeded: ") and len(err.splitlines()) == 1
+    assert err.endswith("facets, over the budget of 1000000\n")
