@@ -10,6 +10,7 @@ deterministic for fixed inputs, flags and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -218,25 +219,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="emit the Morse complex as a complex file plus pair table")
     p.add_argument("file")
     _common_flags(p)
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("stats", help="invariant report of a complex file, one key=value per line")
     p.add_argument("file")
     _common_flags(p)
-    p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("iso", help="find an isomorphism between two inputs")
     p.add_argument("a")
     p.add_argument("b")
     _common_flags(p)
-    p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("reconstruct",
                        help="find a Morse isomorphism and reconstruct the vertex map")
     p.add_argument("a")
     p.add_argument("b")
     _common_flags(p)
-    p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("verify", help="run the acceptance suites")
     p.add_argument("what", choices=["corpus"])
@@ -245,22 +242,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample7", type=int, default=200,
                    help="random 7-vertex graphs (default %(default)s)")
     _common_flags(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("kozlov",
                        help="check the Morse complex of a simple graph against "
                             "the forest complex of its double")
     p.add_argument("file")
     _common_flags(p)
-    p.set_defaults(func=cmd_kozlov)
 
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs more than a
+    small command does."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        # the command is looked up by name at call time, not bound into the
+        # parser, so that the module's command functions can be replaced
+        return globals()[f"cmd_{args.command}"](args)
     except EnumerationBudgetError as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return EXIT_BUDGET

@@ -20,7 +20,9 @@ the layer), which the search carries from parent to child instead of
 testing every cover again.  A memoised count over interface states prices
 the output before anything is listed; a state depends on a matching only
 through its source mask, so each layer's matchings are grouped by it.  The
-count is exact, which lets the facet budget fail fast and loudly.
+count is a sum of non-negative terms, one per matching of the index-0
+layer, so a listing is refused as soon as the running total passes the
+facet budget, while ``facet_count()`` counts to the end.
 
 For a graph or multigraph the index-0 layer is the only one, its acyclic
 matchings are rooted forests (each matched vertex points along its edge) and
@@ -28,11 +30,17 @@ its facets are the maximal rooted forests (Chari & Joswig, Discrete Math.
 302, 2005).  There a separate walk tracks each vertex's root instead of
 walking gradient paths, keeps only the matchings that close a facet and cuts
 every branch that cannot reach one, so it costs about the facets, not the
-faces.
+faces.  It records a node's closing covers as one bitmask, so a count builds
+no tuple per facet; the listing expands them.
+
+The engine's state lives in locals and in objects that refer to no cycle,
+so it is freed by reference counting as soon as the call returns.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from itertools import combinations
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -202,6 +210,186 @@ def is_acyclic(pairs: Iterable[RegularPair], G: Optional[Multigraph] = None) -> 
                 color[i] = 2
                 stack.pop()
     return True
+
+
+# -- the between-layer facet count -----------------------------------------
+
+def _over_budget(count: int, limit: float) -> EnumerationBudgetError:
+    return EnumerationBudgetError(
+        f"Morse complex has at least {count} facets, over the budget of {limit}")
+
+
+class _LayeredCount:
+    """The facets of a complex with more than one layer, counted between
+    layers from each layer's matchings (``MorseComplex._layer_matchings``).
+
+    A layer's matching extends to a facet iff no cover of its avail stays
+    addable: a cover whose source is a target of the layer below
+    (``blocked``) is ruled out there, and any other one must have its target
+    used as a source by the layer above (``need``).  Addable covers share no
+    cell with the matching, so that depends on the matching's avail alone,
+    and whether a matching fits a state (blocked, need) depends on its
+    source mask alone.  In the last layer nothing lies above, so a matching
+    closes a facet iff its avail lies within the covers from blocked
+    sources.
+
+    Of a state, only the test ``need`` within the source mask reads
+    ``need``.  So each (layer, blocked) gets one view: the covers still free
+    there, and the source groups disjoint from ``blocked``, each with its
+    total, the number of facet completions through its members.  A total
+    depends on (layer, blocked, source mask) alone: in the last layer it is
+    the number of members that close a facet, known when the view is built
+    (groups with none are dropped); below it, the sum of the members' states
+    one layer up, filled in when a state first selects the group, so exactly
+    the states reached from the index-0 layer are counted.  A state's count
+    is the sum of the totals of the view's groups whose source mask contains
+    ``need``.  The pending targets of a member, the targets of its free
+    avail, are read through per-layer byte tables, built only for layers
+    with a layer above.
+
+    The index-0 layer has no layer below and no need, so ``total`` runs
+    over its members one at a time, sorted by target mask: members with
+    the same targets share their view one layer up, so a refusal at the
+    budget fills few views.  The object holds no reference to itself, so
+    its views and memo are freed with it.
+    """
+
+    __slots__ = ("layers", "top", "from_source", "tables", "deadline", "last", "views",
+                 "memo")
+
+    def __init__(self, layers: list[dict[int, list[tuple[tuple[int, ...], int, int]]]],
+                 blocks: list[range], sbit: list[int], tbit: list[int], deadline: float):
+        self.layers = layers
+        self.top = sorted((m for members in layers[0].values() for m in members),
+                          key=lambda m: m[1])
+        self.deadline = deadline
+        self.last = len(layers) - 1
+        self.from_source = []
+        for block in blocks:
+            covers: dict[int, int] = {}
+            for c in block:
+                covers[sbit[c]] = covers.get(sbit[c], 0) | 1 << c
+            self.from_source.append(covers)
+        # per layer below the last: its first cover, and per byte of its
+        # block the union of the target bits of each subset of that byte
+        self.tables = []
+        for block in blocks[:-1]:
+            byte_tables = []
+            for lo in range(block.start, block.stop, 8):
+                tab = [0]
+                for c in range(lo, min(lo + 8, block.stop)):
+                    tab += [t | tbit[c] for t in tab]
+                byte_tables.append(tab)
+            self.tables.append((block.start, byte_tables))
+        self.views: list[dict[int, tuple[int, list[list]]]] = [{} for _ in layers]
+        self.memo: dict[tuple[int, int, int], int] = {}
+
+    def pending(self, ki: int, avail: int) -> int:
+        lo, byte_tables = self.tables[ki]
+        avail >>= lo
+        need = 0
+        for tab in byte_tables:
+            need |= tab[avail & 255]
+            avail >>= 8
+        return need
+
+    def view(self, ki: int, blocked: int) -> tuple[int, list[list]]:
+        """(free covers, [[source mask, members, total or None], ...])."""
+        got = self.views[ki].get(blocked)
+        if got is not None:
+            return got
+        covers = self.from_source[ki]
+        ruled = 0
+        rest = blocked
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            ruled |= covers.get(b, 0)
+        free = ~ruled
+        entries = []
+        for sm, members in self.layers[ki].items():
+            if sm & blocked:
+                continue
+            if ki == self.last:
+                closing = 0
+                for _, _, avail in members:
+                    if not avail & free:
+                        closing += 1
+                if closing:
+                    entries.append([sm, members, closing])
+            else:
+                entries.append([sm, members, None])
+        got = self.views[ki][blocked] = (free, entries)
+        return got
+
+    def count(self, ki: int, blocked: int, need: int) -> int:
+        """Facet completions from layer ``ki`` >= 1 up, in state (blocked, need)."""
+        memo = self.memo
+        key = (ki, blocked, need)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        _check_deadline(self.deadline, "counting facets")
+        free, entries = self.view(ki, blocked)
+        total = 0
+        for entry in entries:
+            sm, members, group_total = entry
+            if need & ~sm:
+                continue
+            if group_total is None:
+                # pending() and the memo lookup inlined: this loop runs
+                # once per member of every selected group
+                up = ki + 1
+                lo, byte_tables = self.tables[ki]
+                group_total = 0
+                for _, tm, avail in members:
+                    avail = (avail & free) >> lo
+                    pend = 0
+                    for tab in byte_tables:
+                        pend |= tab[avail & 255]
+                        avail >>= 8
+                    got = memo.get((up, tm, pend))
+                    if got is None:
+                        got = self.count(up, tm, pend)
+                    group_total += got
+                entry[2] = group_total
+            total += group_total
+        memo[key] = total
+        return total
+
+    def total(self, limit: float) -> int:
+        """The number of facets, refused as soon as it passes ``limit``."""
+        count, pending = self.count, self.pending
+        total = 0
+        for _, tm, avail in self.top:
+            total += count(1, tm, pending(0, avail))
+            if total > limit:
+                raise _over_budget(total, limit)
+        return total
+
+    def facets(self, deadline: float):
+        """Yield the facets, walking the same views and pruning the groups
+        and members with no completion; call ``total`` first."""
+        for ids, tm, avail in self.top:
+            pend = self.pending(0, avail)
+            if self.count(1, tm, pend):
+                yield from self._completions(1, tm, pend, ids, deadline)
+
+    def _completions(self, ki: int, blocked: int, need: int,
+                     prefix: tuple[int, ...], deadline: float):
+        _check_deadline(deadline, "listing facets")
+        free, entries = self.view(ki, blocked)
+        for sm, members, group_total in entries:
+            if need & ~sm or not group_total:
+                continue
+            for ids, tm, avail in members:
+                if ki == self.last:
+                    if not avail & free:
+                        yield prefix + ids
+                    continue
+                pend = self.pending(ki, avail & free)
+                if self.count(ki + 1, tm, pend):
+                    yield from self._completions(ki + 1, tm, pend, prefix + ids, deadline)
 
 
 # -- the Morse complex -------------------------------------------------------
@@ -542,12 +730,18 @@ class MorseComplex:
                               child & f, child))
         return groups
 
-    def _forest_matchings(self, block: range, sbit: list[int], tbit: list[int],
-                          deadline: float, cap: int
-                          ) -> dict[int, list[tuple[tuple[int, ...], int, int]]]:
-        """The members of ``_layer_matchings`` of the index-0 layer with an
-        empty avail, the matchings no cover of the layer extends, for a
-        complex whose only layer that is (a graph or multigraph).
+    def _forest_matchings(self, block: range, deadline: float, cap: int,
+                          limit: float) -> tuple[list[tuple[int, int]], int]:
+        """The facets of a complex whose only layer is the index-0 one (a
+        graph or multigraph): its acyclic matchings that no cover of the
+        layer extends, found by a walk over the matchings that can still
+        reach one.
+
+        Returns (records, count).  A record (mask, leaves) stands for the
+        facets ``mask | b``, one per bit b of ``leaves``: a node of the walk
+        with covers ``mask`` and the candidates whose addition closes a
+        facet.  ``count`` is the sum of the popcounts of the leaves, the
+        number of facets.
 
         At index 0 a gradient arc runs from (v, e) to every cover from the
         other end w of e, so an acyclic matching is a forest of rooted
@@ -566,9 +760,10 @@ class MorseComplex:
         those candidates and u itself, for a pivot u that leaves few (the
         first that leaves one, or else the fewest), and is cut when a u that
         is no candidate leaves none.  Branch i excludes the branches before
-        it, so each matching is found once; members are kept as they are
-        met, with their covers sorted.  ``cap`` bounds the members stored,
-        not the nodes walked.
+        it, so each facet is found once.  The walk stops with
+        EnumerationBudgetError once the count passes ``limit``, or once over
+        ``cap`` facets are stored (a memory guard, checked every 4,096
+        nodes).
         """
         conflict = self._conflict
         covers, children = self.hasse.covers, self.hasse.children
@@ -588,15 +783,14 @@ class MorseComplex:
             far.append(w)
             out[s] |= 1 << c
             into0[w] |= 1 << c
-        groups: dict[int, list[tuple[tuple[int, ...], int, int]]] = {}
+        records = []
         full = (1 << block.stop) - (1 << block.start)
-        # a node: cover ids, source and target cell masks, candidates, avail,
-        # and the roots and per-root ``into``; every node on the stack has
-        # candidates, and a member is stored when it is met as a child
-        stack = [((), 0, 0, full, full, list(range(n_vertices)), into0)]
+        # a node: its cover mask, candidates, avail, and the roots and
+        # per-root ``into``; every node on the stack has candidates
+        stack = [(0, full, full, list(range(n_vertices)), into0)]
         steps = stored = 0
         while stack:
-            ids, sm, tm, cand, avail, root, into = stack.pop()
+            mask, cand, avail, root, into = stack.pop()
             steps += 1
             if steps % 4096 == 0:
                 _check_deadline(deadline, "enumerating layer matchings")
@@ -616,6 +810,7 @@ class MorseComplex:
                 if k < fewest:
                     branch, fewest = killers, k
             rest = cand
+            leaves = 0
             f = branch
             while f:
                 b = f & -f
@@ -630,200 +825,85 @@ class MorseComplex:
                     # v's tree joins r's
                     sub_into = into[:]
                     sub_into[r] |= into[v]
-                    stack.append((ids + (c,), sm | sbit[c], tm | tbit[c], sub, child,
+                    stack.append((mask | b, sub, child,
                                   [r if x == v else x for x in root], sub_into))
                 elif not child:
-                    stored += 1
-                    sub_sm = sm | sbit[c]
-                    group = groups.get(sub_sm)
-                    if group is None:
-                        group = groups[sub_sm] = []
-                    group.append((tuple(sorted(ids + (c,))), tm | tbit[c], 0))
-        return groups
+                    leaves |= b
+            if leaves:
+                records.append((mask, leaves))
+                stored += leaves.bit_count()
+                if stored > limit:
+                    raise _over_budget(stored, limit)
+        return records, stored
 
-    def _facet_engine(self, budget: Budget):
-        """Count facets exactly, then return (count, lister).
+    def _facet_engine(self, budget: Budget, limit: float = math.inf):
+        """Count the facets, then return (count, lister); the count stops
+        with EnumerationBudgetError as soon as it passes ``limit``.
 
-        A layer's matching extends to a facet iff no cover of its avail stays
-        addable: a cover whose source is a target of the layer below
-        (``blocked``) is ruled out there, and any other one must have its
-        target used as a source by the layer above (``need``).  Addable
-        covers share no cell with the matching, so that depends on the
-        matching's avail alone, and whether a matching fits a state
-        (blocked, need) depends on its source mask alone.  In the last layer
-        nothing lies above, so a matching closes a facet iff its avail lies
-        within the covers from blocked sources.  Where the index-0 layer is
-        also the last (graphs and multigraphs), nothing lies below either, so
-        only its members with an empty avail close a facet, and
-        ``_forest_matchings`` enumerates just those.
+        A graph or multigraph has one layer, and its facets are counted and
+        listed straight off ``_forest_matchings``.  Any other complex goes
+        through ``_LayeredCount``, which adds up the facets one member of
+        the index-0 layer at a time; every term is non-negative, so the
+        running total can refuse at ``limit`` before the rest is counted.
 
-        Of a state, only the test ``need`` within the source mask reads
-        ``need``.  So each (layer, blocked) gets one view: the covers still
-        free there, and the source groups disjoint from ``blocked``, each
-        with its total, the number of facet completions through its members.
-        A total depends on (layer, blocked, source mask) alone: in the last
-        layer it is the number of members that close a facet, known when the
-        view is built (groups with none are dropped); below it, the sum of
-        the members' states one layer up, filled in when a state first
-        selects the group, so exactly the states reached from (0, 0, 0) are
-        counted.  A state's count is the sum of the totals of the view's
-        groups whose source mask contains ``need``.  The pending targets of
-        a member, the targets of its free avail, are read through per-layer
-        byte tables, built only for layers with a layer above.
-
-        lister() yields facets as sorted global cover id tuples, walking the
-        same views and pruning groups and members with no completion; never
-        called when count exceeds the facet budget.
+        ``lister(deadline)`` yields each facet once, as a sorted global
+        cover id tuple; called only after a count within ``limit``.
         """
         deadline = budget.deadline()
         blocks, sbit, tbit = self._layers()
-        ks = sorted(blocks)
         cap = max(10 * budget.max_facets, 10 ** 6)
-        last = len(ks) - 1
-        if ks == [0]:
-            # the index-0 layer is also the last: keep only its closing members
-            layers = [self._forest_matchings(blocks[0], sbit, tbit, deadline, cap)]
-        else:
-            layers = [self._layer_matchings(blocks[k], sbit, tbit, deadline, cap)
-                      for k in ks]
-        from_source = []
-        for k in ks:
-            covers: dict[int, int] = {}
-            for c in blocks[k]:
-                covers[sbit[c]] = covers.get(sbit[c], 0) | 1 << c
-            from_source.append(covers)
-        # per layer below the last: its first cover, and per byte of its
-        # block the union of the target bits of each subset of that byte
-        tables = []
-        for k in ks[:-1]:
-            block = blocks[k]
-            byte_tables = []
-            for lo in range(block.start, block.stop, 8):
-                tab = [0]
-                for c in range(lo, min(lo + 8, block.stop)):
-                    tab += [t | tbit[c] for t in tab]
-                byte_tables.append(tab)
-            tables.append((block.start, byte_tables))
+        if list(blocks) == [0]:
+            records, total = self._forest_matchings(blocks[0], deadline, cap, limit)
 
-        def pending(ki: int, avail: int) -> int:
-            lo, byte_tables = tables[ki]
-            avail >>= lo
-            need = 0
-            for tab in byte_tables:
-                need |= tab[avail & 255]
-                avail >>= 8
-            return need
+            def lister(deadline: float):
+                listed = 0
+                for mask, leaves in records:
+                    ids = []
+                    while mask:
+                        b = mask & -mask
+                        mask ^= b
+                        ids.append(b.bit_length() - 1)
+                    while leaves:
+                        b = leaves & -leaves
+                        leaves ^= b
+                        c = b.bit_length() - 1
+                        i = bisect_left(ids, c)
+                        yield (*ids[:i], c, *ids[i:])
+                        listed += 1
+                        if listed % 4096 == 0:
+                            _check_deadline(deadline, "listing facets")
 
-        views: list[dict[int, tuple[int, list[list]]]] = [{} for _ in ks]
-
-        def view(ki: int, blocked: int) -> tuple[int, list[list]]:
-            """(free covers, [[source mask, members, total or None], ...])."""
-            got = views[ki].get(blocked)
-            if got is not None:
-                return got
-            covers = from_source[ki]
-            ruled = 0
-            rest = blocked
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                ruled |= covers.get(b, 0)
-            free = ~ruled
-            entries = []
-            for sm, members in layers[ki].items():
-                if sm & blocked:
-                    continue
-                if ki == last:
-                    closing = 0
-                    for _, _, avail in members:
-                        if not avail & free:
-                            closing += 1
-                    if closing:
-                        entries.append([sm, members, closing])
-                else:
-                    entries.append([sm, members, None])
-            got = views[ki][blocked] = (free, entries)
-            return got
-
-        memo: dict[tuple[int, int, int], int] = {}
-
-        def count(ki: int, blocked: int, need: int) -> int:
-            key = (ki, blocked, need)
-            got = memo.get(key)
-            if got is not None:
-                return got
-            _check_deadline(deadline, "counting facets")
-            free, entries = view(ki, blocked)
-            total = 0
-            for entry in entries:
-                sm, members, group_total = entry
-                if need & ~sm:
-                    continue
-                if group_total is None:
-                    # pending() and the memo lookup inlined: this loop runs
-                    # once per member of every selected group
-                    up = ki + 1
-                    lo, byte_tables = tables[ki]
-                    group_total = 0
-                    for _, tm, avail in members:
-                        avail = (avail & free) >> lo
-                        pend = 0
-                        for tab in byte_tables:
-                            pend |= tab[avail & 255]
-                            avail >>= 8
-                        got = memo.get((up, tm, pend))
-                        if got is None:
-                            got = count(up, tm, pend)
-                        group_total += got
-                    entry[2] = group_total
-                total += group_total
-            memo[key] = total
-            return total
-
-        total = count(0, 0, 0)
-
-        def lister():
-            out_deadline = budget.deadline()
-
-            def rec(ki: int, blocked: int, need: int, prefix: tuple[int, ...]):
-                _check_deadline(out_deadline, "listing facets")
-                free, entries = view(ki, blocked)
-                for sm, members, group_total in entries:
-                    if need & ~sm or not group_total:
-                        continue
-                    for ids, tm, avail in members:
-                        if ki == last:
-                            if not avail & free:
-                                yield prefix + ids
-                            continue
-                        pend = pending(ki, avail & free)
-                        if count(ki + 1, tm, pend):
-                            yield from rec(ki + 1, tm, pend, prefix + ids)
-
-            yield from rec(0, 0, 0, ())
-
-        return total, lister
+            return total, lister
+        layers = [self._layer_matchings(block, sbit, tbit, deadline, cap)
+                  for _, block in sorted(blocks.items())]
+        count = _LayeredCount(layers, [blocks[k] for k in sorted(blocks)], sbit, tbit,
+                              deadline)
+        return count.total(limit), count.facets
 
     def facet_count(self) -> int:
-        """Exact number of facets (maximal acyclic matchings); time-guarded
-        but not bounded by the facet budget, since counting never lists."""
+        """Exact number of facets (maximal acyclic matchings), counted to the
+        end: time-guarded but not bounded by the facet budget, since
+        counting lists nothing.  A graph's count is the sum of the popcounts
+        of its walk's leaf masks; the walk keeps at most 10 times the budget
+        (and at least a million) facets in its records."""
         if self.n_pairs == 0:
             return 0
         total, _ = self._facet_engine(self.budget)
         return total
 
     def facets(self) -> tuple[tuple[int, ...], ...]:
-        """All maximal acyclic matchings, as sorted tuples of pair indices."""
+        """All maximal acyclic matchings, as sorted tuples of pair indices.
+
+        Raises EnumerationBudgetError as soon as the count passes
+        ``budget.max_facets``, before anything is listed; the message gives
+        the count reached so far, a lower bound on the number of facets."""
         if self._facets is None:
             budget = self.budget
             if self.n_pairs == 0:
                 self._facets = ()
                 return self._facets
-            total, lister = self._facet_engine(budget)
-            if total > budget.max_facets:
-                raise EnumerationBudgetError(
-                    f"Morse complex has {total} facets, over the budget of {budget.max_facets}")
-            facets = sorted(lister())
+            total, lister = self._facet_engine(budget, budget.max_facets)
+            facets = sorted(lister(budget.deadline()))
             if len(facets) != total:
                 raise TheoremContradictionError(
                     f"facet lister produced {len(facets)} facets but the count is {total}")

@@ -1,6 +1,10 @@
 """Hasse diagrams, matchings, acyclicity and Morse complex enumeration."""
 
+import gc
 import hashlib
+import math
+import re
+import sys
 from itertools import combinations
 
 import pytest
@@ -293,6 +297,72 @@ def test_facet_count_of_full_4_simplex():
     assert morse_complex(full_simplex("abcde")).facet_count() == 16_369_045
 
 
+def test_facet_budget_boundary():
+    # the listing runs at exactly max_facets facets and is refused one below,
+    # for a graph (one layer) and for a complex with more layers
+    for K, n in ((complete_graph(5), 625), (full_simplex("abcd"), 784)):
+        assert len(morse_complex(K, Budget(max_facets=n)).facets()) == n
+        M = morse_complex(K, Budget(max_facets=n - 1))
+        with pytest.raises(EnumerationBudgetError,
+                           match=f"at least {n} facets, over the budget of {n - 1}"):
+            M.facets()
+        assert M.facet_count() == n
+
+
+def test_facets_refused_before_the_count_ends():
+    # the boundary of the 4-simplex and the paper's full 4-simplex: facets()
+    # stops counting once the budget is passed, facet_count() stays exact
+    for K, n in ((boundary_simplex("abcde"), 8_328_325), (full_simplex("abcde"), 16_369_045)):
+        M = morse_complex(K)
+        with pytest.raises(EnumerationBudgetError) as err:
+            M.facets()
+        reached = int(re.fullmatch(
+            r"Morse complex has at least (\d+) facets, over the budget of 1000000",
+            str(err.value)).group(1))
+        assert 1_000_000 < reached < n
+        assert M.facet_count() == n
+
+
+def test_facet_engine_keeps_no_state_after_return():
+    # the engine's views, memo and walk records must be freed on return by
+    # reference counting alone: with the cycle collector off, state held by
+    # a reference cycle stays behind as tracked objects (13 MiB for bd4)
+    cases = [(boundary_simplex("abcde"), "facet_count"), (boundary_simplex("abcde"), "facets"),
+             (complete_graph(7), "facet_count")]
+    for K, method in cases:
+        M = morse_complex(K)
+        gc.collect()
+        gc.disable()
+        try:
+            before = gc.get_objects()
+            old = set(map(id, before))
+            try:
+                getattr(M, method)()
+            except EnumerationBudgetError:
+                assert method == "facets"
+            after = gc.get_objects()
+            old.update((id(before), id(old), id(after)))
+            retained = sum(sys.getsizeof(o) for o in after if id(o) not in old)
+        finally:
+            gc.enable()
+        assert retained < 2 ** 20, (method, retained)
+
+
+def test_graph_facet_listing_time_budget_error():
+    # K7's walk takes more than 4096 steps, so it stops on an expired budget
+    M = morse_complex(complete_graph(7), Budget(max_seconds=0))
+    with pytest.raises(EnumerationBudgetError):
+        M.facets()
+    # the lister itself checks its deadline at least every 4,096 facets
+    total, lister = morse_complex(complete_graph(7))._facet_engine(Budget())
+    assert total == 117_649
+    listed = 0
+    with pytest.raises(EnumerationBudgetError, match="listing facets"):
+        for _ in lister(-math.inf):
+            listed += 1
+    assert listed <= 4096
+
+
 def test_facet_counts_and_listings_pinned():
     # every count of both exhaustive corpora, and each listing of at most
     # 100,000 facets: a faster facet engine must reproduce them exactly
@@ -343,27 +413,32 @@ def test_layer_extendable_sets_from_scratch():
 
 
 def check_closing_members(M):
-    """The only layer of a graph, pruned to its closing members, against a
-    recomputation from scratch and the full enumeration: every stored member
-    is an acyclic matching with the right cell masks to which no cover of the
-    layer can be added, none repeats, and the stored set is exactly the
-    maximal members of the full enumeration, found by containment."""
+    """The only layer of a graph, as the walk's records, against a
+    recomputation from scratch and the full enumeration: every facet a
+    record stands for is an acyclic matching to which no cover of the layer
+    can be added, none repeats, the count is their number, the listing gives
+    each as its sorted cover ids, and the set is exactly the maximal members
+    of the full enumeration, found by containment."""
     blocks, sbit, tbit = M._layers()
     assert list(blocks) == [0]
     block = blocks[0]
-    groups = M._forest_matchings(block, sbit, tbit, float("inf"), 10 ** 7)
+    records, count = M._forest_matchings(block, float("inf"), 10 ** 7, math.inf)
     stored = set()
-    for sm, members in groups.items():
-        for ids, tm, avail in members:
-            mask = sum(1 << c for c in ids)
-            assert list(ids) == sorted(ids) and mask not in stored
-            stored.add(mask)
-            assert M._is_simplex_mask(mask)
-            assert sm == sum(sbit[c] for c in ids)
-            assert tm == sum(tbit[c] for c in ids)
-            assert avail == 0
-            assert all((mask >> c) & 1 or M._conflict[c] & mask or M._creates_cycle(c, mask)
-                       for c in block)
+    for mask, leaves in records:
+        assert leaves and not leaves & mask
+        for c in block:
+            if not (leaves >> c) & 1:
+                continue
+            facet = mask | 1 << c
+            assert facet not in stored
+            stored.add(facet)
+            assert M._is_simplex_mask(facet)
+            assert all((facet >> d) & 1 or M._conflict[d] & facet
+                       or M._creates_cycle(d, facet) for d in block)
+    assert count == len(stored)
+    listed = M.facets()
+    assert all(list(ids) == sorted(ids) for ids in listed)
+    assert {sum(1 << c for c in ids) for ids in listed} == stored
     full = {sum(1 << c for c in ids)
             for members in M._layer_matchings(block, sbit, tbit, float("inf"), 10 ** 7).values()
             for ids, _, _ in members}
