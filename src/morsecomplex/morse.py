@@ -874,10 +874,9 @@ class MorseComplex:
                             _check_deadline(deadline, "listing facets")
 
             return total, lister
-        layers = [self._layer_matchings(block, sbit, tbit, deadline, cap)
-                  for _, block in sorted(blocks.items())]
-        count = _LayeredCount(layers, [blocks[k] for k in sorted(blocks)], sbit, tbit,
-                              deadline)
+        ranges = [blocks[k] for k in sorted(blocks)]
+        layers = [self._layer_matchings(block, sbit, tbit, deadline, cap) for block in ranges]
+        count = _LayeredCount(layers, ranges, sbit, tbit, deadline)
         return count.total(limit), count.facets
 
     def facet_count(self) -> int:
