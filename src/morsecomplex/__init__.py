@@ -3,8 +3,7 @@ reconstruction of the underlying object from its Morse complex."""
 
 from .budget import Budget
 from .complexes import (Multigraph, SimplicialComplex, VertexBijection,
-                        closure, immediate_faces, is_boundary_simplex,
-                        is_connected, link, multigraph_is_connected, skeleton)
+                        closure, immediate_faces, is_boundary_simplex)
 from .errors import (EnumerationBudgetError, HypothesisViolationError,
                      InvalidIsomorphismError, MalformedInputError, MorseError,
                      NotAFaceError, ParseError, TheoremContradictionError)
@@ -29,8 +28,7 @@ __all__ = [
     "Budget",
     # complexes
     "Multigraph", "SimplicialComplex", "VertexBijection", "closure",
-    "immediate_faces", "is_boundary_simplex", "is_connected", "link",
-    "multigraph_is_connected", "skeleton",
+    "immediate_faces", "is_boundary_simplex",
     # errors
     "EnumerationBudgetError", "HypothesisViolationError",
     "InvalidIsomorphismError", "MalformedInputError", "MorseError",

@@ -1,7 +1,9 @@
 """The one resource guard shared by every enumeration and search.
 
 It lives apart from the Morse engine so that the isomorphism search and the
-forest-complex oracle can run under it without importing ``morse``.
+forest-complex oracle can run under it without importing ``morse``.  It is
+the only module that reads the clock: every deadline is set by
+``Budget.deadline`` and checked by ``_check_deadline``.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 
 
-def _check_deadline(deadline: float, what: str):
+def _check_deadline(deadline: float, what: str, *args):
+    """Raise once the clock has passed ``deadline``, naming the phase
+    ``what % args``; the message is formatted only then."""
     if time.monotonic() > deadline:
-        raise EnumerationBudgetError(f"time budget exceeded while {what}")
+        raise EnumerationBudgetError(f"time budget exceeded while {what % args}")

@@ -169,6 +169,9 @@ def cmd_verify(args) -> int:
     if cap is not None and cap < 1:
         raise MalformedInputError(
             f"--max-vertices caps the corpus scales and must be at least 1; got {cap}")
+    for flag, count in (("--samples", args.samples), ("--sample7", args.sample7)):
+        if count < 0:
+            raise MalformedInputError(f"{flag} must be at least 0; got {count}")
     kwargs = dict(seed=args.seed, budget=_budget(args))
     if cap is not None:
         kwargs.update(

@@ -385,22 +385,6 @@ def closure(faces: Iterable[Iterable[str]]) -> SimplicialComplex:
     return SimplicialComplex.closure(faces)
 
 
-def skeleton(K: SimplicialComplex, k: int) -> SimplicialComplex:
-    return K.skeleton(k)
-
-
-def link(face: Iterable[str], K: SimplicialComplex) -> SimplicialComplex:
-    return K.link(face)
-
-
-def is_connected(K: SimplicialComplex) -> bool:
-    return K.is_connected()
-
-
-def multigraph_is_connected(G: Multigraph) -> bool:
-    return G.is_connected()
-
-
 def is_boundary_simplex(K: SimplicialComplex) -> Optional[int]:
     """m if K is (isomorphic to) the boundary of an m-simplex, m >= 1, else None.
 

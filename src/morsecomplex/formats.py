@@ -97,10 +97,9 @@ def pair_table_lines(M: MorseComplex) -> list[str]:
 def serialize_morse_complex(M: MorseComplex) -> str:
     """The Morse complex as a complex file over pair ids, with the pair table
     riding in trailing comments (so the output stays a valid complex file)."""
-    facets = M.facets()
-    lines = []
-    if M.n_pairs:
-        named = sorted(tuple(M.pair_ids[i] for i in f) for f in facets)
-        lines.extend(" ".join(f) + "\n" for f in named)
+    # the facets are sorted index tuples and the pair ids share one width,
+    # so their names come out in the same order
+    ids = M.pair_ids
+    lines = [" ".join([ids[i] for i in f]) + "\n" for f in M.facets()]
     lines.extend(f"# {row}\n" for row in pair_table_lines(M))
     return "".join(lines)

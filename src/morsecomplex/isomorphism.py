@@ -45,21 +45,21 @@ nothing, so the bijections found, their order and the lexicographically
 least witness are exactly those of the plain backtracking search.
 The search runs on an explicit stack, so its depth (the vertex count) is not
 bounded by the interpreter's recursion limit, and under a ``Budget``
-deadline, checked once per refinement round, at every search node and at
-every forced assignment: Morse complexes carry their own budgets and a
-search between two of them runs under the tighter; simplicial complexes get
-the default.  Intended for desk-scale inputs, exact always.
+deadline, checked on ``budget.py``'s clock once per refinement round, at
+every search node and at every forced assignment: Morse complexes carry
+their own budgets and a search between two of them runs under the tighter;
+simplicial complexes get the default.  Intended for desk-scale inputs,
+exact always.
 """
 
 from __future__ import annotations
 
-import time
 from itertools import islice
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .budget import DEFAULT_BUDGET, Budget, _check_deadline
 from .complexes import Multigraph, SimplicialComplex, VertexBijection
-from .errors import EnumerationBudgetError, MalformedInputError, TheoremContradictionError
+from .errors import MalformedInputError, TheoremContradictionError
 from .morse import MorseComplex
 
 
@@ -137,7 +137,7 @@ def _refine(sets_a: list[tuple[int, ...]], rows_a: list[list[int]],
     rounds = 0
     while True:
         rounds += 1
-        _check_deadline(deadline, f"searching isomorphisms (refinement round {rounds})")
+        _check_deadline(deadline, "searching isomorphisms (refinement round %d)", rounds)
         by_class: dict[int, list[int]] = {}
         for v in affected:
             by_class.setdefault(col[v], []).append(v)
@@ -228,11 +228,6 @@ def set_family_isomorphisms(n_a: int, fams_a: Sequence[Collection[int]],
         if S:
             closing_a[max(S)].append(S)
 
-    def check_time(depth: int):
-        if time.monotonic() > deadline:
-            raise EnumerationBudgetError(
-                f"time budget exceeded while searching isomorphisms (depth {depth} of {n_a})")
-
     def assign(state, v: int, w: int):
         """The state after v -> w and every assignment it forces, or None
         when a domain empties."""
@@ -243,7 +238,7 @@ def set_family_isomorphisms(n_a: int, fams_a: Sequence[Collection[int]],
         later = -2 << v
         forced = [v]
         for t in forced:
-            check_time(v)
+            _check_deadline(deadline, "searching isomorphisms (depth %d of %d)", v, n_a)
             bit = dom[t]
             inside = nbr_b[bit.bit_length() - 1]
             adj = nbr_a[t] & later
@@ -325,7 +320,7 @@ def set_family_isomorphisms(n_a: int, fams_a: Sequence[Collection[int]],
     fwd = [0] * n_a
     v = 0
     while v >= 0:
-        check_time(v)
+        _check_deadline(deadline, "searching isomorphisms (depth %d of %d)", v, n_a)
         if v == n_a:
             if verify():
                 yield tuple(fwd)

@@ -17,7 +17,7 @@ from .complexes import SimplicialComplex, is_boundary_simplex
 from .corpus import (boundary_simplex, connected_complexes, connected_graphs,
                      connected_multigraphs, cycle_graph, full_simplex,
                      permuted_copy, random_connected_graph)
-from .errors import MorseError
+from .errors import EnumerationBudgetError, MorseError
 from .forests import forest_identity_holds
 from .invariants import greedy_collapse, invariants
 from .isomorphism import (all_isomorphisms, find_isomorphism,
@@ -48,6 +48,8 @@ class CriterionFailure(MorseError):
 def _result(name: str, check: Callable[[], str]) -> CriterionResult:
     try:
         return CriterionResult(name, True, check())
+    except EnumerationBudgetError:
+        raise  # an exhausted budget is no verdict on the criterion
     except CriterionFailure as e:
         return CriterionResult(name, False, str(e))
     except MorseError as e:

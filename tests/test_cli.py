@@ -287,6 +287,22 @@ def test_verify_cap_below_one_exits_4(capsys, cap):
     assert err.startswith("bad input: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("flag", ["--samples", "--sample7"])
+def test_verify_negative_sample_count_exits_4(capsys, flag):
+    # a negative count samples nothing, so it would pass vacuously
+    code, out, err = run(capsys, "verify", "corpus", "--max-vertices", "3", flag, "-5")
+    assert (code, out) == (4, "")
+    assert err.startswith("bad input: ") and len(err.splitlines()) == 1
+
+
+def test_verify_exhausted_budget_exits_2(capsys):
+    # an exhausted budget is no verdict: exit 1 would report failed criteria
+    code, out, err = run(capsys, "verify", "corpus", "--max-vertices", "3",
+                         "--budget-seconds", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("budget exceeded: ") and len(err.splitlines()) == 1
+
+
 def test_unexpected_error_exits_5_without_traceback(tmp_path, capsys, monkeypatch):
     # exit 1 means a negative verdict, so a crash must not end with exit 1
     from morsecomplex import cli

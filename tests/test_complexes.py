@@ -6,8 +6,7 @@ import pytest
 
 import morsecomplex
 from morsecomplex import (Multigraph, SimplicialComplex, VertexBijection,
-                          closure, immediate_faces, is_boundary_simplex,
-                          is_connected, link, multigraph_is_connected, skeleton)
+                          closure, immediate_faces, is_boundary_simplex)
 from morsecomplex.corpus import (boundary_simplex, complete_graph,
                                  connected_complexes, cycle_graph, full_simplex,
                                  path_graph)
@@ -46,14 +45,14 @@ def test_closure_idempotent():
 
 def test_skeleton_of_triangle():
     K = full_simplex("abc")
-    S = skeleton(K, 1)
+    S = K.skeleton(1)
     assert S.f_vector() == (3, 3)
-    assert skeleton(K, 0).f_vector() == (3,)
-    assert skeleton(K, 5) == K
+    assert K.skeleton(0).f_vector() == (3,)
+    assert K.skeleton(5) == K
 
 
 def test_skeleton_of_boundary_tetrahedron_is_k4():
-    S = skeleton(boundary_simplex("abcd"), 1)
+    S = boundary_simplex("abcd").skeleton(1)
     from morsecomplex import find_isomorphism
     assert find_isomorphism(S, complete_graph(4)) is not None
     assert S.f_vector() == (4, 6)
@@ -61,12 +60,12 @@ def test_skeleton_of_boundary_tetrahedron_is_k4():
 
 def test_link_examples():
     K = full_simplex("abc")
-    L = link(["a"], K)
+    L = K.link(["a"])
     assert L.label_simplices() == [("b",), ("b", "c"), ("c",)]
-    assert link(["a", "b"], boundary_simplex("abc")).simplices == frozenset()
+    assert boundary_simplex("abc").link(["a", "b"]).simplices == frozenset()
     for n in (3, 4, 6):
         Cn = cycle_graph(n)
-        lk = link(["v0"], Cn)
+        lk = Cn.link(["v0"])
         assert lk.f_vector() == (2,)
 
 
@@ -81,7 +80,7 @@ def test_link_is_face_closed():
 
 def test_link_requires_a_face():
     with pytest.raises(NotAFaceError):
-        link(["a", "c"], closure([["a", "b"], ["b", "c"]]))
+        closure([["a", "b"], ["b", "c"]]).link(["a", "c"])
 
 
 def test_immediate_faces():
@@ -98,18 +97,18 @@ def test_immediate_faces_count_property():
 
 
 def test_connectivity():
-    assert is_connected(full_simplex("abcde"))
-    assert is_connected(cycle_graph(5))
-    assert not is_connected(closure([["a"], ["b"]]))
-    assert not is_connected(SimplicialComplex((), frozenset()))
-    assert is_connected(closure([["a"]]))
+    assert full_simplex("abcde").is_connected()
+    assert cycle_graph(5).is_connected()
+    assert not closure([["a"], ["b"]]).is_connected()
+    assert not SimplicialComplex((), frozenset()).is_connected()
+    assert closure([["a"]]).is_connected()
 
 
 def test_multigraph_connectivity():
     G = Multigraph.from_edges([("e1", "u", "v"), ("e2", "u", "v")])
-    assert multigraph_is_connected(G)
+    assert G.is_connected()
     H = Multigraph.from_edges([("e1", "u", "v")], isolated=["w"])
-    assert not multigraph_is_connected(H)
+    assert not H.is_connected()
 
 
 def test_multigraph_rejects_loops_and_duplicate_ids():
