@@ -137,9 +137,6 @@ class SimplicialComplex:
     def to_labels(self, simplex: Simplex) -> tuple[str, ...]:
         return tuple(self.labels[i] for i in simplex)
 
-    def has(self, simplex: Simplex) -> bool:
-        return simplex in self.simplices
-
     def has_labels(self, face: Iterable[str]) -> bool:
         face = [str(v) for v in face]
         if any(v not in self._index for v in face):

@@ -15,10 +15,19 @@ simplification is built.  Every step the theory guarantees is re-checked at
 run time; a failed check raises TheoremContradictionError rather than
 returning a wrong map.
 
-The one exceptional family: an isomorphism may move index-0 pairs to higher
-index only when both complexes are the boundary of a simplex, where every
-vertex bijection is an isomorphism anyway.  ``detect_index_anomaly`` guards
-that route.
+Four branches return a map without reading F, each forced by a fact:
+
+- an F that moves index-0 pairs to higher index: both complexes are then
+  the boundary of a simplex, where every vertex bijection is an isomorphism
+  (``detect_index_anomaly`` guards this branch);
+- a single vertex: its Morse complex is empty, so F carries nothing;
+- a cycle, or a multigraph that simplifies to one: some isomorphisms of a
+  cycle's Morse complex are induced by no vertex map, so the formula need
+  not hold;
+- a multigraph bundle on at most two vertices: its Morse complex is
+  discrete, so F carries nothing beyond the counts.
+
+Every other complex, the full triangle included, takes the formula.
 """
 
 from __future__ import annotations
@@ -293,8 +302,8 @@ def _label_order_map(K: SimplicialComplex, L: SimplicialComplex,
 def reconstruct_complex_iso(F: MorseIso) -> VertexBijection:
     """Explicit isomorphism K -> L from an isomorphism of Morse complexes.
 
-    Route: rule out (or dispatch) the boundary-of-a-simplex anomaly, read
-    the vertex map off F's index-0 pairs (the graph case on the
+    Route: dispatch the boundary-of-a-simplex anomaly, a single vertex and a
+    cycle, read the vertex map off F's index-0 pairs (the graph case on the
     1-skeletons), then check the skeleton-by-skeleton extension on every
     regular pair.  The returned map is verified to be an isomorphism of the
     full complexes.
@@ -320,21 +329,13 @@ def reconstruct_complex_iso(F: MorseIso) -> VertexBijection:
             raise TheoremContradictionError("empty Morse complex forces a single vertex")
         return _label_order_map(K, L, "single vertices")
 
-    K1 = K.skeleton(1)
-    n_cyc = K1.cycle_length()
-    if n_cyc is not None:
-        if K.dim == 1:
-            if reconstruct_cycle(K1, L.skeleton(1)) is None:
-                raise TheoremContradictionError("cycle must map to a cycle of the same length")
-            bij = find_isomorphism(K, L)
-            if bij is None:
-                raise TheoremContradictionError("Morse-equivalent cycles must be isomorphic")
-            return bij
-        # a higher complex with cycle 1-skeleton is the full triangle
-        if n_cyc != 3 or K.f_vector() != (3, 3, 1):
-            raise TheoremContradictionError(
-                "cycle 1-skeleton with higher cells must be the full triangle")
-        return _label_order_map(K, L, "full triangles")
+    if K.cycle_length() is not None:
+        if reconstruct_cycle(K, L) is None:
+            raise TheoremContradictionError("cycle must map to a cycle of the same length")
+        bij = find_isomorphism(K, L)
+        if bij is None:
+            raise TheoremContradictionError("Morse-equivalent cycles must be isomorphic")
+        return bij
 
     f = _source_formula(F)
 
@@ -377,8 +378,7 @@ def reconstruct_multigraph_iso(F: MorseIso) -> tuple[VertexBijection, dict[str, 
         # vertices, but here the Morse complex is discrete and everything is
         # forced by counting
         bij = VertexBijection(dict(zip(G.labels, H.labels)))
-        edge_map = dict(zip(G.edge_ids, H.edge_ids))
-        return bij, edge_map
+        return bij, multigraph_edge_map(G, H, bij)
 
     sG = simplify(G)
     if sG.cycle_length() is not None:

@@ -264,7 +264,7 @@ def criterion_functoriality(samples: int = 1000, seed: int = 0,
         corpus = connected_complexes(max_vertices)
         eligible = [K for K in corpus
                     if is_boundary_simplex(K) is None
-                    and K.skeleton(1).cycle_length() is None]
+                    and K.cycle_length() is None]
         rng = random.Random(seed)
         morse_cache = {}
         for _ in range(samples):

@@ -66,6 +66,14 @@ def test_layered_lister_deadline():
     assert set(seen[:-1]) == {"counting facets"}
 
 
+def test_single_layer_lister_deadline():
+    # K7's graph walk counts before the lister lists; the lister is reached
+    # only under a budget long enough for the whole walk
+    seen = stops(lambda s: morse_complex(complete_graph(7), Budget(max_seconds=s))
+                 .facets(), "listing facets")
+    assert set(seen[:-1]) == {"enumerating layer matchings"}
+
+
 def test_dimension_deadline():
     # mod-2 Betti numbers (1, 1, 0): no maximum acyclic matching reaches the
     # GF(2) rank, so the branch and bound stays exhaustive, past 5 s of wall

@@ -412,7 +412,7 @@ def test_reconstruction_maps_pinned():
                 find_morse_isomorphism(morse_complex(G), morse_complex(H)))
             line((f.items(), sorted(emap.items())))
     assert h.hexdigest() == (
-        "8ebd68641278ecc62f329fc7357523711118c5cb09314f737331d074b51e5d84")
+        "39b075596dce54b7a0d5fb19ee1e6419bc701f517994ff7725f60a66a5bbcf01")
 
 
 def test_multigraph_reconstruction_pinned_on_automorphisms():
@@ -434,6 +434,20 @@ def test_multigraph_reconstruction_pinned_on_automorphisms():
         "d0e4b28b4ecbf2aeb7b5741a47e045ea5ceb8fd74f51951a64f7fd49332746e9")
 
 
+def test_induced_automorphisms_recovered_exactly():
+    # every automorphism h of every non-cycle member comes back exactly from
+    # the Morse isomorphism it induces, the swaps of the full triangle included
+    n_maps = 0
+    for K in connected_complexes(5):
+        if K.cycle_length() is None:
+            M = morse_complex(K)
+            for h in all_isomorphisms(K, K):
+                f = reconstruct_complex_iso(MorseIso.functorial(M, M, h))
+                assert f.forward == h.forward, (K, h.forward)
+                n_maps += 1
+    assert n_maps == 1394
+
+
 def test_reconstruct_cycle_complex():
     C = cycle_graph(4)
     D = cycle_graph(4, prefix="w")
@@ -450,8 +464,9 @@ def test_reconstruct_single_vertex_and_edge():
 
 
 def test_forced_branches_check_their_map(monkeypatch):
-    # a single vertex, the full triangle and an anomalous automorphism of a
-    # simplex boundary take the label-order map; each must still check it
+    # a single vertex and an anomalous automorphism of a simplex boundary
+    # take the label-order map, and the full triangle takes the general
+    # route; each must still check the map it returns
     B = boundary_simplex("abcd")
     M_B = morse_complex(B)
     anomalous = next(F for F in (MorseIso.from_vertex_bijection(M_B, M_B, a)

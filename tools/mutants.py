@@ -1,0 +1,124 @@
+"""Mutation check: each entry breaks one place of the library on purpose and
+names tests that must then fail.
+
+For each entry the script copies ``src/``, ``tests/`` and ``pyproject.toml``
+to a temporary directory, applies the edit there and runs only the named
+tests.  A mutant is killed when one of them fails and survives when all
+pass.  The script exits 1 when a mutant survives, when an entry's old text
+no longer occurs exactly once in its file, or when the named tests do not
+pass on the unmutated copy; the working tree is never edited.
+
+Run from anywhere, with pytest installed:  python tools/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str  # must occur exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # pytest node ids; at least one must fail
+
+
+MUTANTS = (
+    Mutant("orbit-least-member", "src/morsecomplex/corpus.py",
+           "for i in reversed(_bits(max(orbit)))]))",
+           "for i in reversed(_bits(min(orbit)))]))",
+           ("tests/test_corpus.py::test_connected_complexes_pinned",
+            "tests/test_corpus.py::test_generators_match_the_oracle")),
+    Mutant("graph-walk-killers", "src/morsecomplex/morse.py",
+           "killers = (bu | conflict[u] | out[root[far[u]]]) & cand",
+           "killers = (conflict[u] | out[root[far[u]]]) & cand",
+           ("tests/test_morse.py::test_morse_complex_of_edge",
+            "tests/test_morse.py::test_facet_count_of_complete_graphs_is_cayley",
+            "tests/test_budget.py::test_graph_walk_deadline")),
+    Mutant("graph-walk-tree-join", "src/morsecomplex/morse.py",
+           "                    sub_into[r] |= into[v]\n", "",
+           ("tests/test_morse.py::test_facet_count_of_complete_graphs_is_cayley",
+            "tests/test_morse.py::test_oracle_equivalence_complexes")),
+    Mutant("is-matching-always", "src/morsecomplex/morse.py",
+           "    return len(used) == count\n", "    return True\n",
+           ("tests/test_morse.py::test_is_matching",
+            "tests/test_morse.py::test_is_acyclic_requires_matching")),
+    Mutant("is-acyclic-never-closes", "src/morsecomplex/morse.py",
+           "                if color[j] == 1:\n                    return False\n",
+           "                if False:\n                    return False\n",
+           ("tests/test_morse.py::test_is_acyclic_on_oriented_triangle",
+            "tests/test_morse.py::test_multigraph_two_cycle")),
+    Mutant("morse-iso-skips-nonfaces", "src/morsecomplex/reconstruction.py",
+           "        if nf_K != nf_L:\n", "        if False:\n",
+           ("tests/test_reconstruction.py::test_invalid_morse_iso_rejected",)),
+    Mutant("source-formula-ignores-F", "src/morsecomplex/reconstruction.py",
+           "        images = {F(p).source[0] for p in incident}\n",
+           "        images = {p.source[0] for p in incident}\n",
+           ("tests/test_reconstruction.py::test_reconstruct_triangle_permutation",
+            "tests/test_reconstruction.py::test_induced_automorphisms_recovered_exactly")),
+)
+
+_IGNORE = shutil.ignore_patterns("__pycache__", ".pytest_cache")
+
+
+def _copy(src: Path, dst: Path):
+    for part in ("src", "tests"):
+        shutil.copytree(src / part, dst / part, ignore=_IGNORE)
+    shutil.copy2(src / "pyproject.toml", dst / "pyproject.toml")
+
+
+def _pytest(root: Path, tests) -> int:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(root / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    stale = []
+    for m in MUTANTS:
+        n = (ROOT / m.path).read_text().count(m.old)
+        if n != 1:
+            stale.append(f"{m.name}: old text occurs {n} times in {m.path}, not once")
+    if stale:
+        print("\n".join(stale), file=sys.stderr)
+        return 1
+
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        base = Path(tmp) / "base"
+        _copy(ROOT, base)
+        named = sorted({t for m in MUTANTS for t in m.tests})
+        rc = _pytest(base, named)
+        if rc != 0:
+            print(f"the named tests fail on the unmutated copy (pytest exit {rc})",
+                  file=sys.stderr)
+            return 1
+
+        bad = 0
+        for m in MUTANTS:
+            work = Path(tmp) / m.name
+            _copy(base, work)
+            target = work / m.path
+            target.write_text(target.read_text().replace(m.old, m.new))
+            start = time.monotonic()
+            rc = _pytest(work, m.tests)
+            verdict = {1: "killed", 0: "SURVIVED"}.get(rc, f"ERROR (pytest exit {rc})")
+            bad += rc != 1
+            print(f"{verdict:<9} {m.name}  {m.path}  ({time.monotonic() - start:.1f} s)")
+            shutil.rmtree(work)
+    print(f"{len(MUTANTS) - bad}/{len(MUTANTS)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
