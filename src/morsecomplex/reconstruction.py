@@ -15,18 +15,24 @@ simplification is built.  Every step the theory guarantees is re-checked at
 run time; a failed check raises TheoremContradictionError rather than
 returning a wrong map.
 
-Four branches return a map without reading F, each forced by a fact:
+Where F fixes no vertex map, each route falls back on the one isomorphism
+engine: ``find_isomorphism`` for complexes, whose least map is then checked
+with ``is_simplicial_isomorphism``, and ``find_multigraph_isomorphism`` for
+multigraphs, whose edge map checks every parallel-class size.  Each fallback
+is forced by a fact, which is checked before it is taken:
 
 - an F that moves index-0 pairs to higher index: both complexes are then
-  the boundary of a simplex, where every vertex bijection is an isomorphism
-  (``detect_index_anomaly`` guards this branch);
+  boundaries of simplices of one dimension (``detect_index_anomaly`` guards
+  this case);
 - a single vertex: its Morse complex is empty, so F carries nothing;
 - a cycle, or a multigraph that simplifies to one: some isomorphisms of a
   cycle's Morse complex are induced by no vertex map, so the formula need
-  not hold;
+  not hold; ``reconstruct_cycle`` confirms the cycle lengths;
 - a multigraph bundle on at most two vertices: its Morse complex is
   discrete, so F carries nothing beyond the counts.
 
+On a boundary, a single vertex or a bundle every vertex bijection is an
+isomorphism, and the engine's least one pairs the labels in sorted order.
 Every other complex, the full triangle included, takes the formula.
 """
 
@@ -288,25 +294,14 @@ def reconstruct_cycle(G: SimplicialComplex, H: SimplicialComplex) -> Optional[in
 
 # -- full reconstruction -----------------------------------------------------
 
-def _label_order_map(K: SimplicialComplex, L: SimplicialComplex,
-                     what: str) -> VertexBijection:
-    """The map pairing the sorted labels of K and L, for the branches where
-    every vertex bijection is an isomorphism; it is checked all the same."""
-    bij = VertexBijection(dict(zip(K.labels, L.labels)))
-    if not bij.is_simplicial_isomorphism(K, L):
-        raise TheoremContradictionError(
-            f"the label-order map between {what} is not an isomorphism")
-    return bij
-
-
 def reconstruct_complex_iso(F: MorseIso) -> VertexBijection:
     """Explicit isomorphism K -> L from an isomorphism of Morse complexes.
 
-    Route: dispatch the boundary-of-a-simplex anomaly, a single vertex and a
-    cycle, read the vertex map off F's index-0 pairs (the graph case on the
+    Route: read the vertex map off F's index-0 pairs (the graph case on the
     1-skeletons), then check the skeleton-by-skeleton extension on every
-    regular pair.  The returned map is verified to be an isomorphism of the
-    full complexes.
+    regular pair.  The boundary-of-a-simplex anomaly, a single vertex and a
+    cycle take the engine's least isomorphism instead.  Either map is
+    verified to be an isomorphism of the full complexes.
     """
     K, L = F.M_K.source, F.M_L.source
     if not isinstance(K, SimplicialComplex) or not isinstance(L, SimplicialComplex):
@@ -317,37 +312,32 @@ def reconstruct_complex_iso(F: MorseIso) -> VertexBijection:
         raise HypothesisViolationError("both complexes must be connected")
 
     witness = detect_index_anomaly(F)
+    f = None
     if witness is not None:
         m, mL = is_boundary_simplex(K), is_boundary_simplex(L)
         if m is None or mL != m:
             raise TheoremContradictionError(
                 f"index anomaly {witness} outside boundaries of simplices")
-        return _label_order_map(K, L, "boundaries of simplices")
-
-    if K.n_vertices == 1:
+    elif K.n_vertices == 1:
         if L.n_vertices != 1:
             raise TheoremContradictionError("empty Morse complex forces a single vertex")
-        return _label_order_map(K, L, "single vertices")
-
-    if K.cycle_length() is not None:
+    elif K.cycle_length() is not None:
         if reconstruct_cycle(K, L) is None:
             raise TheoremContradictionError("cycle must map to a cycle of the same length")
-        bij = find_isomorphism(K, L)
-        if bij is None:
-            raise TheoremContradictionError("Morse-equivalent cycles must be isomorphic")
-        return bij
-
-    f = _source_formula(F)
-
-    # skeleton-by-skeleton consistency: F must act on every pair as f does
-    for p in F.M_K.pairs:
-        expected = RegularPair(f.map_face(p.source), f.map_face(p.target), p.index)
-        got = F(p)
-        if got != expected:
-            raise TheoremContradictionError(
-                f"inductive extension fails at index {p.index}: "
-                f"F{p} = {got}, expected {expected}")
-    if not f.is_simplicial_isomorphism(K, L):
+    else:
+        f = _source_formula(F)
+        # skeleton-by-skeleton consistency: F must act on every pair as f does
+        for p in F.M_K.pairs:
+            expected = RegularPair(f.map_face(p.source), f.map_face(p.target), p.index)
+            got = F(p)
+            if got != expected:
+                raise TheoremContradictionError(
+                    f"inductive extension fails at index {p.index}: "
+                    f"F{p} = {got}, expected {expected}")
+    if f is None:
+        # F fixes no vertex map: take the least isomorphism the engine finds
+        f = find_isomorphism(K, L)
+    if f is None or not f.is_simplicial_isomorphism(K, L):
         raise TheoremContradictionError("reconstructed map is not an isomorphism of complexes")
     return f
 
@@ -358,12 +348,12 @@ def reconstruct_multigraph_iso(F: MorseIso) -> tuple[VertexBijection, dict[str, 
     Route: each vertex goes to the source of the image of any of its pairs,
     the formula of the simple-graph case.  It holds for F itself because the
     quotient by parallel pairs keeps each pair's source, so no Morse complex
-    of a simplification is built.  Bundles on at most two vertices are forced
-    by counting, and a simplification that is a cycle takes the least vertex
-    map keeping every parallel-class size, with the edge bijection that
-    ``find_multigraph_isomorphism`` builds for it.  The edge bijection is
-    lexicographic within each class; its class-size check, with equal vertex
-    and edge counts, verifies the pair of maps as a multigraph isomorphism.
+    of a simplification is built.  Bundles on at most two vertices and
+    multigraphs that simplify to a cycle take ``find_multigraph_isomorphism``
+    instead: the least vertex map keeping every parallel-class size.  Either
+    way the edge bijection is ``multigraph_edge_map``, lexicographic within
+    each class; its class-size check, with equal vertex and edge counts,
+    verifies the pair of maps as a multigraph isomorphism.
     """
     G, H = F.M_K.source, F.M_L.source
     if not isinstance(G, Multigraph) or not isinstance(H, Multigraph):
@@ -373,23 +363,16 @@ def reconstruct_multigraph_iso(F: MorseIso) -> tuple[VertexBijection, dict[str, 
     if H.n_vertices != G.n_vertices or H.n_edges != G.n_edges:
         raise TheoremContradictionError("pair counts force equal vertex and edge counts")
 
-    if G.n_vertices <= 2:
-        # bundles of parallel edges: the quotient identification needs three
-        # vertices, but here the Morse complex is discrete and everything is
-        # forced by counting
-        bij = VertexBijection(dict(zip(G.labels, H.labels)))
-        return bij, multigraph_edge_map(G, H, bij)
-
-    sG = simplify(G)
-    if sG.cycle_length() is not None:
+    if G.n_vertices > 2:
+        sG = simplify(G)
+        if sG.cycle_length() is None:
+            f = _source_formula(F)
+            return f, multigraph_edge_map(G, H, f)
         if reconstruct_cycle(sG, simplify(H)) is None:
             raise TheoremContradictionError("simplified cycle must map to an equal cycle")
-        # the pointwise formula is unavailable on a cycle: take the least
-        # vertex map keeping every parallel-class size
-        found = find_multigraph_isomorphism(G, H)
-        if found is None:
-            raise TheoremContradictionError(
-                "no cycle isomorphism preserves the parallel-class sizes")
-        return found
-    f = _source_formula(F)
-    return f, multigraph_edge_map(G, H, f)
+    # F fixes no vertex map: take the least isomorphism the engine finds; its
+    # edge map checks every parallel-class size
+    found = find_multigraph_isomorphism(G, H)
+    if found is None:
+        raise TheoremContradictionError("Morse-equivalent multigraphs must be isomorphic")
+    return found
