@@ -25,9 +25,10 @@ is forced by a fact, which is checked before it is taken:
   boundaries of simplices of one dimension (``detect_index_anomaly`` guards
   this case);
 - a single vertex: its Morse complex is empty, so F carries nothing;
-- a cycle, or a multigraph that simplifies to one: some isomorphisms of a
-  cycle's Morse complex are induced by no vertex map, so the formula need
-  not hold; ``reconstruct_cycle`` confirms the cycle lengths;
+- a cycle, or a multigraph that simplifies to one, where the formula
+  fails: some isomorphisms of a cycle's Morse complex are induced by no
+  vertex map.  A cycle tries the formula first, so an induced F gives back
+  its own vertex map; ``reconstruct_cycle`` confirms the cycle lengths;
 - a multigraph bundle on at most two vertices: its Morse complex is
   discrete, so F carries nothing beyond the counts.
 
@@ -300,8 +301,8 @@ def reconstruct_complex_iso(F: MorseIso) -> VertexBijection:
     Route: read the vertex map off F's index-0 pairs (the graph case on the
     1-skeletons), then check the skeleton-by-skeleton extension on every
     regular pair.  The boundary-of-a-simplex anomaly, a single vertex and a
-    cycle take the engine's least isomorphism instead.  Either map is
-    verified to be an isomorphism of the full complexes.
+    cycle on which that fails take the engine's least isomorphism instead.
+    Either map is verified to be an isomorphism of the full complexes.
     """
     K, L = F.M_K.source, F.M_L.source
     if not isinstance(K, SimplicialComplex) or not isinstance(L, SimplicialComplex):
@@ -321,19 +322,25 @@ def reconstruct_complex_iso(F: MorseIso) -> VertexBijection:
     elif K.n_vertices == 1:
         if L.n_vertices != 1:
             raise TheoremContradictionError("empty Morse complex forces a single vertex")
-    elif K.cycle_length() is not None:
-        if reconstruct_cycle(K, L) is None:
-            raise TheoremContradictionError("cycle must map to a cycle of the same length")
     else:
-        f = _source_formula(F)
-        # skeleton-by-skeleton consistency: F must act on every pair as f does
-        for p in F.M_K.pairs:
-            expected = RegularPair(f.map_face(p.source), f.map_face(p.target), p.index)
-            got = F(p)
-            if got != expected:
-                raise TheoremContradictionError(
-                    f"inductive extension fails at index {p.index}: "
-                    f"F{p} = {got}, expected {expected}")
+        cycle = K.cycle_length() is not None
+        if cycle and reconstruct_cycle(K, L) is None:
+            raise TheoremContradictionError("cycle must map to a cycle of the same length")
+        try:
+            f = _source_formula(F)
+            # skeleton-by-skeleton consistency: F must act on every pair as f does
+            for p in F.M_K.pairs:
+                expected = RegularPair(f.map_face(p.source), f.map_face(p.target), p.index)
+                got = F(p)
+                if got != expected:
+                    raise TheoremContradictionError(
+                        f"inductive extension fails at index {p.index}: "
+                        f"F{p} = {got}, expected {expected}")
+        except TheoremContradictionError:
+            # only a cycle has Morse isomorphisms that no vertex map induces
+            if not cycle:
+                raise
+            f = None
     if f is None:
         # F fixes no vertex map: take the least isomorphism the engine finds
         f = find_isomorphism(K, L)
@@ -348,12 +355,13 @@ def reconstruct_multigraph_iso(F: MorseIso) -> tuple[VertexBijection, dict[str, 
     Route: each vertex goes to the source of the image of any of its pairs,
     the formula of the simple-graph case.  It holds for F itself because the
     quotient by parallel pairs keeps each pair's source, so no Morse complex
-    of a simplification is built.  Bundles on at most two vertices and
-    multigraphs that simplify to a cycle take ``find_multigraph_isomorphism``
-    instead: the least vertex map keeping every parallel-class size.  Either
-    way the edge bijection is ``multigraph_edge_map``, lexicographic within
-    each class; its class-size check, with equal vertex and edge counts,
-    verifies the pair of maps as a multigraph isomorphism.
+    of a simplification is built.  Bundles on at most two vertices, and
+    multigraphs that simplify to a cycle where the formula fails, take
+    ``find_multigraph_isomorphism`` instead: the least vertex map keeping
+    every parallel-class size.  Either way the edge bijection is
+    ``multigraph_edge_map``, lexicographic within each class; its class-size
+    check, with equal vertex and edge counts, verifies the pair of maps as a
+    multigraph isomorphism.
     """
     G, H = F.M_K.source, F.M_L.source
     if not isinstance(G, Multigraph) or not isinstance(H, Multigraph):
@@ -365,11 +373,15 @@ def reconstruct_multigraph_iso(F: MorseIso) -> tuple[VertexBijection, dict[str, 
 
     if G.n_vertices > 2:
         sG = simplify(G)
-        if sG.cycle_length() is None:
+        simple_cycle = sG.cycle_length() is not None
+        if simple_cycle and reconstruct_cycle(sG, simplify(H)) is None:
+            raise TheoremContradictionError("simplified cycle must map to an equal cycle")
+        try:
             f = _source_formula(F)
             return f, multigraph_edge_map(G, H, f)
-        if reconstruct_cycle(sG, simplify(H)) is None:
-            raise TheoremContradictionError("simplified cycle must map to an equal cycle")
+        except TheoremContradictionError:
+            if not simple_cycle:
+                raise
     # F fixes no vertex map: take the least isomorphism the engine finds; its
     # edge map checks every parallel-class size
     found = find_multigraph_isomorphism(G, H)

@@ -201,7 +201,7 @@ def test_reconstruct_multigraph_stdout_pinned(tmp_path, capsys):
         h.update(out.encode())
     assert len(inputs) == 21 + sum(special)
     assert h.hexdigest() == (
-        "9100e73a489d5448704bc9ff9a2b9ee8898aaa64779120687d46f486427918cd")
+        "b3a681e111833c223b22dd6a95590a251444ece9d9f9049e6013aaf2b7c60542")
 
 
 def test_kozlov_ok(tmp_path, capsys):

@@ -22,7 +22,8 @@ from morsecomplex.corpus import (boundary_simplex, connected_complexes,
 from morsecomplex.errors import (HypothesisViolationError,
                                  InvalidIsomorphismError,
                                  TheoremContradictionError)
-from morsecomplex.isomorphism import all_isomorphisms, multigraph_edge_map
+from morsecomplex.isomorphism import (all_isomorphisms, find_multigraph_isomorphism,
+                                      multigraph_edge_map)
 
 
 # -- MorseIso ---------------------------------------------------------------
@@ -412,7 +413,7 @@ def test_reconstruction_maps_pinned():
                 find_morse_isomorphism(morse_complex(G), morse_complex(H)))
             line((f.items(), sorted(emap.items())))
     assert h.hexdigest() == (
-        "39b075596dce54b7a0d5fb19ee1e6419bc701f517994ff7725f60a66a5bbcf01")
+        "f2a37939cde513829ff0049d87212d68ec3fdfc67f10678b452248023ab2b089")
 
 
 def test_multigraph_reconstruction_pinned_on_automorphisms():
@@ -431,21 +432,21 @@ def test_multigraph_reconstruction_pinned_on_automorphisms():
                 n_maps += 1
     assert n_maps == 2106
     assert h.hexdigest() == (
-        "d0e4b28b4ecbf2aeb7b5741a47e045ea5ceb8fd74f51951a64f7fd49332746e9")
+        "0605204d28e6a372fa721087ee18a96ee8edce20a4d0d2932d2f2406cdaf250f")
 
 
 def test_induced_automorphisms_recovered_exactly():
-    # every automorphism h of every non-cycle member comes back exactly from
-    # the Morse isomorphism it induces, the swaps of the full triangle included
+    # every automorphism h of every member comes back exactly from the Morse
+    # isomorphism it induces, the swaps of the full triangle and the
+    # rotations and reflections of the cycles included
     n_maps = 0
     for K in connected_complexes(5):
-        if K.cycle_length() is None:
-            M = morse_complex(K)
-            for h in all_isomorphisms(K, K):
-                f = reconstruct_complex_iso(MorseIso.functorial(M, M, h))
-                assert f.forward == h.forward, (K, h.forward)
-                n_maps += 1
-    assert n_maps == 1394
+        M = morse_complex(K)
+        for h in all_isomorphisms(K, K):
+            f = reconstruct_complex_iso(MorseIso.functorial(M, M, h))
+            assert f.forward == h.forward, (K, h.forward)
+            n_maps += 1
+    assert n_maps == 1418
 
 
 def test_reconstruct_cycle_complex():
@@ -464,21 +465,53 @@ def test_reconstruct_single_vertex_and_edge():
 
 
 def test_forced_branches_check_their_map(monkeypatch):
-    # a single vertex and an anomalous automorphism of a simplex boundary
-    # take the label-order map, and the full triangle takes the general
-    # route; each must still check the map it returns
+    # a single vertex, an anomalous automorphism of a simplex boundary and an
+    # automorphism of M(C4) that no vertex map induces take the engine's least
+    # isomorphism, and the full triangle takes the general route; each must
+    # still check the map it returns
     B = boundary_simplex("abcd")
     M_B = morse_complex(B)
     anomalous = next(F for F in (MorseIso.from_vertex_bijection(M_B, M_B, a)
                                  for a in all_isomorphisms(M_B, M_B))
                      if detect_index_anomaly(F) is not None)
+    C = cycle_graph(4)
+    M_C = morse_complex(C)
+    induced = [MorseIso.functorial(M_C, M_C, h).forward for h in all_isomorphisms(C, C)]
+    non_induced = next(F for F in (MorseIso.from_vertex_bijection(M_C, M_C, a)
+                                   for a in all_isomorphisms(M_C, M_C))
+                       if F.forward not in induced)
+    assert reconstruct_complex_iso(non_induced).forward == find_isomorphism(C, C).forward
     cases = [find_morse_isomorphism(morse_complex(K), morse_complex(K))
-             for K in (full_simplex("a"), full_simplex("abc"))] + [anomalous]
+             for K in (full_simplex("a"), full_simplex("abc"))] + [anomalous, non_induced]
     monkeypatch.setattr(VertexBijection, "is_simplicial_isomorphism",
                         lambda self, K, L: False)
     for F in cases:
         with pytest.raises(TheoremContradictionError):
             reconstruct_complex_iso(F)
+
+
+def test_formula_failure_falls_back_on_cycles_only(monkeypatch):
+    # the engine replaces a failed source formula only where F may be induced
+    # by no vertex map: a cycle, or a multigraph that simplifies to one
+    from morsecomplex import reconstruction
+
+    def fail(F):
+        raise TheoremContradictionError("formula fails")
+
+    def iso(X):
+        return find_morse_isomorphism(morse_complex(X), morse_complex(X))
+
+    monkeypatch.setattr(reconstruction, "_source_formula", fail)
+    square = Multigraph.from_edges([("e1", "a", "b"), ("e2", "a", "b"),
+                                    ("e3", "b", "c"), ("e4", "c", "d"), ("e5", "a", "d")])
+    theta = Multigraph.from_edges([("e1", "u", "v"), ("e2", "u", "v"), ("e3", "v", "w")])
+    assert reconstruct_complex_iso(iso(cycle_graph(4))).is_simplicial_isomorphism(
+        cycle_graph(4), cycle_graph(4))
+    assert reconstruct_multigraph_iso(iso(square)) == find_multigraph_isomorphism(square, square)
+    with pytest.raises(TheoremContradictionError, match="formula fails"):
+        reconstruct_complex_iso(iso(path_graph(3)))
+    with pytest.raises(TheoremContradictionError, match="formula fails"):
+        reconstruct_multigraph_iso(iso(theta))
 
 
 def test_reconstruct_requires_connected():
