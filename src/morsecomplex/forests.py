@@ -65,19 +65,13 @@ def double(G: SimplicialComplex) -> DirectedGraph:
     if G.dim > 1:
         raise MalformedInputError("double is defined for graphs (dimension <= 1)")
     arcs = []
-    for e in G.edges():
-        u, v = G.to_labels(e)
-        arcs.append((arrow_name(u, v), u, v))
-        arcs.append((arrow_name(v, u), v, u))
-    if not arcs:
-        return DirectedGraph(G.labels, (), ())
-    D = DirectedGraph.from_arcs(arcs)
-    if set(D.labels) != set(G.labels):
-        # isolated vertices carry no arcs but stay in the vertex set
-        D = DirectedGraph(G.labels, D.arc_names,
-                          tuple((G.labels.index(D.labels[t]), G.labels.index(D.labels[h]))
-                                for t, h in D.arcs))
-    return D
+    for u, v in G.edges():
+        arcs.append((arrow_name(G.labels[u], G.labels[v]), u, v))
+        arcs.append((arrow_name(G.labels[v], G.labels[u]), v, u))
+    # over G's own label table, so isolated vertices stay in the vertex set
+    arcs.sort()
+    return DirectedGraph(G.labels, tuple(n for n, _, _ in arcs),
+                         tuple((t, h) for _, t, h in arcs))
 
 
 def directed_forest_complex(D: DirectedGraph,

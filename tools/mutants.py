@@ -66,6 +66,28 @@ MUTANTS = (
            "        images = {p.source[0] for p in incident}\n",
            ("tests/test_reconstruction.py::test_reconstruct_triangle_permutation",
             "tests/test_reconstruction.py::test_induced_automorphisms_recovered_exactly")),
+    Mutant("fallback-skips-final-check", "src/morsecomplex/reconstruction.py",
+           "    if f is None or not f.is_simplicial_isomorphism(K, L):\n",
+           "    if f is None:\n",
+           ("tests/test_reconstruction.py::test_forced_branches_check_their_map",)),
+    Mutant("complex-fallback-beyond-cycles", "src/morsecomplex/reconstruction.py",
+           "            if not cycle:\n                raise\n",
+           "            if False:\n                raise\n",
+           ("tests/test_reconstruction.py::test_formula_failure_falls_back_on_cycles_only",)),
+    Mutant("multigraph-fallback-beyond-cycles", "src/morsecomplex/reconstruction.py",
+           "            if not simple_cycle:\n                raise\n",
+           "            if False:\n                raise\n",
+           ("tests/test_reconstruction.py::test_formula_failure_falls_back_on_cycles_only",)),
+    Mutant("oracle-keeps-non-maximal", "src/morsecomplex/verify.py",
+           "if s and not any(c not in s and (s | {c}) in simplices for c in range(n))}",
+           "if s}",
+           ("tests/test_morse.py::test_oracle_equivalence_complexes",
+            "tests/test_morse.py::test_oracle_equivalence_multigraphs")),
+    Mutant("forest-never-closes-cycle", "src/morsecomplex/forests.py",
+           "    def closes_cycle(tail: int, head: int) -> bool:\n",
+           "    def closes_cycle(tail: int, head: int) -> bool:\n        return False\n",
+           ("tests/test_forests.py::test_two_cycle_excluded",
+            "tests/test_forests.py::test_identity_on_triangle")),
 )
 
 _IGNORE = shutil.ignore_patterns("__pycache__", ".pytest_cache")
