@@ -68,8 +68,8 @@ def double(G: SimplicialComplex) -> DirectedGraph:
     for u, v in G.edges():
         arcs.append((arrow_name(G.labels[u], G.labels[v]), u, v))
         arcs.append((arrow_name(G.labels[v], G.labels[u]), v, u))
-    # over G's own label table, so isolated vertices stay in the vertex set
     arcs.sort()
+    # over G's own label table, so isolated vertices stay in the vertex set
     return DirectedGraph(G.labels, tuple(n for n, _, _ in arcs),
                          tuple((t, h) for _, t, h in arcs))
 

@@ -504,14 +504,15 @@ def test_formula_failure_falls_back_on_cycles_only(monkeypatch):
     monkeypatch.setattr(reconstruction, "_source_formula", fail)
     square = Multigraph.from_edges([("e1", "a", "b"), ("e2", "a", "b"),
                                     ("e3", "b", "c"), ("e4", "c", "d"), ("e5", "a", "d")])
-    theta = Multigraph.from_edges([("e1", "u", "v"), ("e2", "u", "v"), ("e3", "v", "w")])
+    doubled_path = Multigraph.from_edges(
+        [("e1", "u", "v"), ("e2", "u", "v"), ("e3", "v", "w")])
     assert reconstruct_complex_iso(iso(cycle_graph(4))).is_simplicial_isomorphism(
         cycle_graph(4), cycle_graph(4))
     assert reconstruct_multigraph_iso(iso(square)) == find_multigraph_isomorphism(square, square)
     with pytest.raises(TheoremContradictionError, match="formula fails"):
         reconstruct_complex_iso(iso(path_graph(3)))
     with pytest.raises(TheoremContradictionError, match="formula fails"):
-        reconstruct_multigraph_iso(iso(theta))
+        reconstruct_multigraph_iso(iso(doubled_path))
 
 
 def test_reconstruct_requires_connected():
