@@ -230,59 +230,82 @@ class _LayeredCount:
     cell with the matching, so that depends on the matching's avail alone,
     and whether a matching fits a state (blocked, need) depends on its
     source mask alone.  In the last layer nothing lies above, so a matching
-    closes a facet iff its avail lies within the covers from blocked
-    sources.
+    closes a facet iff the source cells of its avail lie within
+    ``blocked``: there each source group keeps its members by those source
+    cells, and closes as many facets as the members whose sources lie
+    within ``blocked``.
 
     Of a state, only the test ``need`` within the source mask reads
-    ``need``.  So each (layer, blocked) gets one view: the covers still free
-    there, and the source groups disjoint from ``blocked``, each with its
-    total, the number of facet completions through its members.  A total
-    depends on (layer, blocked, source mask) alone: in the last layer it is
-    the number of members that close a facet, known when the view is built
-    (groups with none are dropped); below it, the sum of the members' states
-    one layer up, filled in when a state first selects the group, so exactly
-    the states reached from the index-0 layer are counted.  A state's count
-    is the sum of the totals of the view's groups whose source mask contains
-    ``need``.  The pending targets of a member, the targets of its free
-    avail, are read through per-layer byte tables, built only for layers
-    with a layer above.
+    ``need``.  So each layer indexes its source groups by every bit of
+    their source mask, and each (layer, blocked) gets one view: the covers
+    still free there, per lowest bit of ``need`` the groups under that bit
+    that are disjoint from ``blocked`` (filled when a state first asks),
+    and per source mask its total, the number of facet completions through
+    its members.  A total depends on (layer, blocked, source mask) alone and
+    is filled in when a state first selects the group: in the last layer
+    from the closing multiplicities, below it as the sum of the members'
+    states one layer up, so exactly the states reached from the index-0
+    layer are counted.  A state's count, the sum of the totals of the
+    groups whose source mask contains ``need``, is memoised per layer under
+    the int ``blocked | need << width``.  The pending targets of a member,
+    the targets of its free avail, are read through per-layer byte tables,
+    built only for layers with a layer above.
 
     The index-0 layer has no layer below and no need, so ``total`` runs
     over its members one at a time, sorted by target mask: members with
     the same targets share their view one layer up, so a refusal at the
     budget fills few views.  The object holds no reference to itself, so
-    its views and memo are freed with it.
+    its views and memos are freed with it.
     """
 
-    __slots__ = ("layers", "top", "from_source", "tables", "deadline", "last", "views",
-                 "memo")
+    __slots__ = ("top", "last", "layers", "from_source", "tables", "shifts", "by_bit",
+                 "deadline", "views", "memos")
 
-    def __init__(self, layers: list[dict[int, list[tuple[tuple[int, ...], int, int]]]],
+    def __init__(self, layers: list[dict[int, list[tuple[int, int, int]]]],
                  blocks: list[range], sbit: list[int], tbit: list[int], deadline: float):
-        self.layers = layers
         self.top = sorted((m for members in layers[0].values() for m in members),
                           key=lambda m: m[1])
         self.deadline = deadline
-        self.last = len(layers) - 1
+        self.last = last = len(layers) - 1
+        # the last layer's members by the source cells of their avail
+        lo, source_tables = blocks[last].start, _byte_tables(blocks[last], sbit)
+        closing: dict[int, list[tuple[int, list[int]]]] = {}
+        for sm, members in layers[last].items():
+            by_sources: dict[int, list[int]] = {}
+            for mask, _, avail in members:
+                avail >>= lo
+                sources = 0
+                for tab in source_tables:
+                    sources |= tab[avail & 255]
+                    avail >>= 8
+                group = by_sources.get(sources)
+                if group is None:
+                    by_sources[sources] = [mask]
+                else:
+                    group.append(mask)
+            closing[sm] = list(by_sources.items())
+        self.layers = layers[:-1] + [closing]
+        # per layer below the last: its covers by source cell, its first
+        # cover with the target bits of its byte tables, and the width of
+        # the cell masks of the layer above
         self.from_source = []
-        for block in blocks:
+        self.tables = []
+        self.shifts = [0]
+        for block in blocks[:-1]:
             covers: dict[int, int] = {}
+            cells = 0
             for c in block:
                 covers[sbit[c]] = covers.get(sbit[c], 0) | 1 << c
+                cells |= tbit[c]
             self.from_source.append(covers)
-        # per layer below the last: its first cover, and per byte of its
-        # block the union of the target bits of each subset of that byte
-        self.tables = []
-        for block in blocks[:-1]:
-            byte_tables = []
-            for lo in range(block.start, block.stop, 8):
-                tab = [0]
-                for c in range(lo, min(lo + 8, block.stop)):
-                    tab += [t | tbit[c] for t in tab]
-                byte_tables.append(tab)
-            self.tables.append((block.start, byte_tables))
-        self.views: list[dict[int, tuple[int, list[list]]]] = [{} for _ in layers]
-        self.memo: dict[tuple[int, int, int], int] = {}
+            self.tables.append((block.start, _byte_tables(block, tbit)))
+            self.shifts.append(cells.bit_length())
+        # per layer, its groups under each bit of their source mask (all of
+        # them under 0), filled as states ask
+        self.by_bit: list[dict[int, list[tuple[int, list]]]] = [{} for _ in layers]
+        self.views: list[dict[int, tuple[int, dict[int, list], dict[int, int]]]] = [
+            {} for _ in layers]
+        self.memos: list[dict[int, int]] = [{} for _ in layers]
 
     def pending(self, ki: int, avail: int) -> int:
         lo, byte_tables = self.tables[ki]
@@ -293,103 +316,162 @@ class _LayeredCount:
             avail >>= 8
         return need
 
-    def view(self, ki: int, blocked: int) -> tuple[int, list[list]]:
-        """(free covers, [[source mask, members, total or None], ...])."""
-        got = self.views[ki].get(blocked)
-        if got is not None:
-            return got
-        covers = self.from_source[ki]
-        ruled = 0
-        rest = blocked
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            ruled |= covers.get(b, 0)
-        free = ~ruled
-        entries = []
-        for sm, members in self.layers[ki].items():
-            if sm & blocked:
-                continue
-            if ki == self.last:
-                closing = 0
-                for _, _, avail in members:
-                    if not avail & free:
-                        closing += 1
-                if closing:
-                    entries.append([sm, members, closing])
-            else:
-                entries.append([sm, members, None])
-        got = self.views[ki][blocked] = (free, entries)
-        return got
+    def selected(self, ki: int, blocked: int, need: int) -> tuple[int, list, dict[int, int]]:
+        """(free covers, the groups under the lowest bit of ``need`` that are
+        disjoint from ``blocked``, the view's totals by source mask)."""
+        view = self.views[ki].get(blocked)
+        if view is None:
+            free = -1
+            if ki < self.last:
+                covers = self.from_source[ki]
+                rest = blocked
+                while rest:
+                    b = rest & -rest
+                    rest ^= b
+                    free &= ~covers.get(b, 0)
+            view = self.views[ki][blocked] = (free, {}, {})
+        free, lists, totals = view
+        low = need & -need
+        groups = lists.get(low)
+        if groups is None:
+            under = self.by_bit[ki].get(low)
+            if under is None:
+                under = self.by_bit[ki][low] = [
+                    g for g in self.layers[ki].items() if g[0] & low or not low]
+            groups = lists[low] = [g for g in under if not g[0] & blocked]
+        return free, groups, totals
 
     def count(self, ki: int, blocked: int, need: int) -> int:
         """Facet completions from layer ``ki`` >= 1 up, in state (blocked, need)."""
-        memo = self.memo
-        key = (ki, blocked, need)
+        memo = self.memos[ki]
+        key = blocked | need << self.shifts[ki]
         got = memo.get(key)
         if got is not None:
             return got
         _check_deadline(self.deadline, "counting facets")
-        free, entries = self.view(ki, blocked)
+        free, groups, totals = self.selected(ki, blocked, need)
         total = 0
-        for entry in entries:
-            sm, members, group_total = entry
+        for sm, group in groups:
             if need & ~sm:
                 continue
+            group_total = totals.get(sm)
             if group_total is None:
-                # pending() and the memo lookup inlined: this loop runs
-                # once per member of every selected group
-                up = ki + 1
-                lo, byte_tables = self.tables[ki]
                 group_total = 0
-                for _, tm, avail in members:
-                    avail = (avail & free) >> lo
-                    pend = 0
-                    for tab in byte_tables:
-                        pend |= tab[avail & 255]
-                        avail >>= 8
-                    got = memo.get((up, tm, pend))
-                    if got is None:
-                        got = self.count(up, tm, pend)
-                    group_total += got
-                entry[2] = group_total
+                if ki == self.last:
+                    for sources, masks in group:
+                        if not sources & ~blocked:
+                            group_total += len(masks)
+                else:
+                    # pending() and the memo lookup inlined: this loop runs
+                    # once per member of every selected group
+                    up = ki + 1
+                    memo_up, shift = self.memos[up], self.shifts[up]
+                    lo, byte_tables = self.tables[ki]
+                    for _, tm, avail in group:
+                        avail = (avail & free) >> lo
+                        pend = 0
+                        for tab in byte_tables:
+                            pend |= tab[avail & 255]
+                            avail >>= 8
+                        got = memo_up.get(tm | pend << shift)
+                        if got is None:
+                            got = self.count(up, tm, pend)
+                        group_total += got
+                totals[sm] = group_total
             total += group_total
         memo[key] = total
         return total
 
     def total(self, limit: float) -> int:
         """The number of facets, refused as soon as it passes ``limit``."""
-        count, pending = self.count, self.pending
+        count, memo, shift = self.count, self.memos[1], self.shifts[1]
+        lo, byte_tables = self.tables[0]
         total = 0
         for _, tm, avail in self.top:
-            total += count(1, tm, pending(0, avail))
+            avail >>= lo
+            pend = 0
+            for tab in byte_tables:
+                pend |= tab[avail & 255]
+                avail >>= 8
+            got = memo.get(tm | pend << shift)
+            total += count(1, tm, pend) if got is None else got
             if total > limit:
                 raise _over_budget(total, limit)
         return total
 
     def facets(self, deadline: float):
         """Yield the facets, walking the same views and pruning the groups
-        and members with no completion; call ``total`` first."""
-        for ids, tm, avail in self.top:
+        and members with no completion; call ``total`` first, which fills
+        the view, totals and memo of every state visited here."""
+        last, views, memos, shifts, tables = (
+            self.last, self.views, self.memos, self.shifts, self.tables)
+        # the ids of each member of a middle layer, and of each last-layer
+        # list of closing members by (source mask, avail sources)
+        ids: dict[int, tuple[int, ...]] = {}
+        ids_of: dict[int, list[tuple[int, ...]]] = {}
+        width = shifts[last]
+        for mask, tm, avail in self.top:
             pend = self.pending(0, avail)
-            if self.count(1, tm, pend):
-                yield from self._completions(1, tm, pend, ids, deadline)
-
-    def _completions(self, ki: int, blocked: int, need: int,
-                     prefix: tuple[int, ...], deadline: float):
-        _check_deadline(deadline, "listing facets")
-        free, entries = self.view(ki, blocked)
-        for sm, members, group_total in entries:
-            if need & ~sm or not group_total:
+            if not memos[1][tm | pend << shifts[1]]:
                 continue
-            for ids, tm, avail in members:
-                if ki == self.last:
-                    if not avail & free:
-                        yield prefix + ids
+            stack = [(1, tm, pend, _ids(mask))]
+            while stack:
+                ki, blocked, need, prefix = stack.pop()
+                _check_deadline(deadline, "listing facets")
+                free, lists, totals = views[ki][blocked]
+                groups = lists[need & -need]
+                if ki == last:
+                    for sm, group in groups:
+                        if need & ~sm or not totals[sm]:
+                            continue
+                        for sources, masks in group:
+                            if not sources & ~blocked:
+                                key = sources | sm << width
+                                closers = ids_of.get(key)
+                                if closers is None:
+                                    closers = ids_of[key] = [_ids(m) for m in masks]
+                                for got in closers:
+                                    yield prefix + got
                     continue
-                pend = self.pending(ki, avail & free)
-                if self.count(ki + 1, tm, pend):
-                    yield from self._completions(ki + 1, tm, pend, prefix + ids, deadline)
+                up = ki + 1
+                memo, shift = memos[up], shifts[up]
+                lo, byte_tables = tables[ki]
+                for sm, group in groups:
+                    if need & ~sm or not totals[sm]:
+                        continue
+                    for mask, tm, avail in group:
+                        avail = (avail & free) >> lo
+                        pend = 0
+                        for tab in byte_tables:
+                            pend |= tab[avail & 255]
+                            avail >>= 8
+                        if memo[tm | pend << shift]:
+                            got = ids.get(mask)
+                            if got is None:
+                                got = ids[mask] = _ids(mask)
+                            stack.append((up, tm, pend, prefix + got))
+
+
+def _byte_tables(block: range, bits: list[int]) -> list[list[int]]:
+    """Per byte of ``block``, the union of ``bits`` over each subset of the
+    byte's covers."""
+    tables = []
+    for lo in range(block.start, block.stop, 8):
+        tab = [0]
+        for c in range(lo, min(lo + 8, block.stop)):
+            tab += [t | bits[c] for t in tab]
+        tables.append(tab)
+    return tables
+
+
+def _ids(mask: int) -> tuple[int, ...]:
+    """The cover ids of a mask, ascending."""
+    out = []
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        out.append(b.bit_length() - 1)
+    return tuple(out)
 
 
 # -- the Morse complex -------------------------------------------------------
@@ -679,11 +761,11 @@ class MorseComplex:
 
     def _layer_matchings(self, block: range, sbit: list[int], tbit: list[int],
                          deadline: float, cap: int
-                         ) -> dict[int, list[tuple[tuple[int, ...], int, int]]]:
+                         ) -> dict[int, list[tuple[int, int, int]]]:
         """All acyclic matchings of a single layer, on the global pair masks,
         grouped by source cell mask.
 
-        Returns {src mask: [(cover ids, tgt mask, avail), ...]}, where avail
+        Returns {src mask: [(cover mask, tgt mask, avail), ...]}, where avail
         is the extendable set of the matching: the covers of the block that
         are not in it, share no cell with it and close no gradient cycle
         with it.  Each DFS node carries its avail.  Acyclic matchings form a
@@ -691,19 +773,22 @@ class MorseComplex:
         covers conflicting with c, and the covers d that close a cycle with
         the child; that cycle runs through c (the parent is acyclic with d),
         so d is exactly a successor of c's forward closure and of its
-        backward closure inside the parent.  The child's DFS candidates are
-        its avail among the parent's remaining higher candidates, which
-        keeps the enumeration order.  ``cap`` bounds the enumeration as a
-        memory guard.
+        backward closure inside the parent.  A closure adds to c's own arcs
+        only where those meet the parent, and it can remove a cover only
+        where the other side's successors meet the avail, so each closure
+        is searched only then.  The child's DFS candidates are its avail
+        among the parent's remaining higher candidates, which keeps the
+        enumeration order.  ``cap`` bounds the enumeration as a memory
+        guard.
         """
         conflict, arc, rev = self._conflict, self._arc, self._rev
         reach = self._reach
-        groups: dict[int, list[tuple[tuple[int, ...], int, int]]] = {}
+        groups: dict[int, list[tuple[int, int, int]]] = {}
         full = (1 << block.stop) - (1 << block.start)
-        stack = [((), 0, 0, 0, full, full)]
+        stack = [(0, 0, 0, full, full)]
         steps = 0
         while stack:
-            ids, mask, sm, tm, cand, avail = stack.pop()
+            mask, sm, tm, cand, avail = stack.pop()
             steps += 1
             if steps % 4096 == 0:
                 _check_deadline(deadline, "enumerating layer matchings")
@@ -713,21 +798,19 @@ class MorseComplex:
             group = groups.get(sm)
             if group is None:
                 group = groups[sm] = []
-            group.append((ids, tm, avail))
+            group.append((mask, tm, avail))
             f = cand
             while f:
                 b = f & -f
                 f ^= b
                 c = b.bit_length() - 1
-                fwd = arc[c]
-                if fwd & mask:
+                fwd, bwd = arc[c], rev[c]
+                if fwd & mask and bwd & (mask | avail):
                     fwd = reach(b, mask, arc)
-                bwd = rev[c]
-                if bwd & mask:
+                if bwd & mask and fwd & avail:
                     bwd = reach(b, mask, rev)
                 child = avail & ~(b | conflict[c] | (fwd & bwd))
-                stack.append((ids + (c,), mask | b, sm | sbit[c], tm | tbit[c],
-                              child & f, child))
+                stack.append((mask | b, sm | sbit[c], tm | tbit[c], child & f, child))
         return groups
 
     def _forest_matchings(self, block: range, deadline: float, cap: int,
@@ -858,11 +941,7 @@ class MorseComplex:
             def lister(deadline: float):
                 listed = 0
                 for mask, leaves in records:
-                    ids = []
-                    while mask:
-                        b = mask & -mask
-                        mask ^= b
-                        ids.append(b.bit_length() - 1)
+                    ids = _ids(mask)
                     while leaves:
                         b = leaves & -leaves
                         leaves ^= b

@@ -19,6 +19,7 @@ from morsecomplex.corpus import (boundary_simplex, complete_graph,
                                  full_simplex, graph_from_edges, path_graph,
                                  star_graph)
 from morsecomplex.errors import EnumerationBudgetError, MalformedInputError
+from morsecomplex.morse import _LayeredCount
 from morsecomplex.verify import brute_force_morse_facets
 
 
@@ -379,19 +380,21 @@ def test_facet_counts_and_listings_pinned():
 
 def check_extendable_sets(M):
     """Each layer's matchings and extendable sets against a recomputation
-    from scratch: every member is an acyclic matching with the right cell
-    masks and extendable set, no matching repeats, and the list is closed
-    under adding a higher extendable cover, so no matching is missing."""
+    from scratch: every member is an acyclic matching of the layer's covers
+    with the right cell masks and extendable set, no matching repeats, and
+    the list is closed under adding a higher extendable cover, so no
+    matching is missing."""
     blocks, sbit, tbit = M._layers()
     for block in blocks.values():
+        full = (1 << block.stop) - (1 << block.start)
         groups = M._layer_matchings(block, sbit, tbit, float("inf"), 10 ** 7)
         seen = set()
         for sm, members in groups.items():
-            for ids, tm, avail in members:
-                mask = sum(1 << c for c in ids)
-                assert list(ids) == sorted(ids) and mask not in seen
+            for mask, tm, avail in members:
+                assert not mask & ~full and mask not in seen
                 seen.add(mask)
                 assert M._is_simplex_mask(mask)
+                ids = [c for c in block if (mask >> c) & 1]
                 assert sm == sum(sbit[c] for c in ids)
                 assert tm == sum(tbit[c] for c in ids)
                 expected = sum(1 << c for c in block
@@ -400,10 +403,9 @@ def check_extendable_sets(M):
                 assert avail == expected
         assert 0 in seen
         for members in groups.values():
-            for ids, _, avail in members:
-                mask = sum(1 << c for c in ids)
+            for mask, _, avail in members:
                 for c in block:
-                    if (avail >> c) & 1 and c > max(ids, default=-1):
+                    if (avail >> c) & 1 and c >= mask.bit_length():
                         assert mask | 1 << c in seen
 
 
@@ -439,9 +441,9 @@ def check_closing_members(M):
     listed = M.facets()
     assert all(list(ids) == sorted(ids) for ids in listed)
     assert {sum(1 << c for c in ids) for ids in listed} == stored
-    full = {sum(1 << c for c in ids)
+    full = {mask
             for members in M._layer_matchings(block, sbit, tbit, float("inf"), 10 ** 7).values()
-            for ids, _, _ in members}
+            for mask, _, _ in members}
     maximal = {mask for mask in full
                if not any(not (mask >> c) & 1 and mask | 1 << c in full for c in block)}
     assert stored == maximal
@@ -454,6 +456,50 @@ def test_closing_layer_members_from_scratch():
         M = morse_complex(obj)
         if M.n_pairs:
             check_closing_members(M)
+
+
+def check_closing_multiplicities(M, limit=math.inf):
+    """Every last-layer total and memoised state of the layered count,
+    against the last layer's members recounted one by one: a member closes
+    a facet iff each cover of its avail has its source in ``blocked``, and
+    fits a state iff its source mask contains ``need`` and misses
+    ``blocked``.  Returns the number of views checked."""
+    blocks, sbit, tbit = M._layers()
+    ranges = [blocks[k] for k in sorted(blocks)]
+    layers = [M._layer_matchings(block, sbit, tbit, math.inf, 10 ** 7) for block in ranges]
+    # per source mask of the last layer, per member the source bit of each
+    # cover of its avail
+    sources = {sm: [[sbit[c] for c in ranges[-1] if (avail >> c) & 1] for _, _, avail in group]
+               for sm, group in layers[-1].items()}
+    count = _LayeredCount(layers, ranges, sbit, tbit, math.inf)
+    try:
+        count.total(limit)
+    except EnumerationBudgetError:
+        assert limit < math.inf
+    last = count.last
+
+    def closing(sm, blocked):
+        return sum(1 for bits in sources[sm] if all(b & blocked for b in bits))
+
+    for blocked, (_, _, totals) in count.views[last].items():
+        for sm, total in totals.items():
+            assert total == closing(sm, blocked)
+    shift = count.shifts[last]
+    for key, total in count.memos[last].items():
+        blocked, need = key & ((1 << shift) - 1), key >> shift
+        assert total == sum(closing(sm, blocked) for sm in sources
+                            if not need & ~sm and not sm & blocked)
+    return len(count.views[last])
+
+
+def test_closing_multiplicities_recounted():
+    layered = [K for K in connected_complexes(4) if max(map(len, K.simplices)) > 2]
+    assert len(layered) == 9
+    for K in layered + [boundary_simplex("abcd"), full_simplex("abcd")]:
+        assert check_closing_multiplicities(morse_complex(K)) > 0
+    # the views that bd4's refusal at the default budget reaches
+    assert check_closing_multiplicities(morse_complex(boundary_simplex("abcde")),
+                                        limit=1_000_000) > 0
 
 
 def test_closing_walk_time_budget_error():

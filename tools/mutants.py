@@ -49,6 +49,22 @@ MUTANTS = (
            "                    sub_into[r] |= into[v]\n", "",
            ("tests/test_morse.py::test_facet_count_of_complete_graphs_is_cayley",
             "tests/test_morse.py::test_oracle_equivalence_complexes")),
+    Mutant("closing-multiplicity-inverted", "src/morsecomplex/morse.py",
+           "                        if not sources & ~blocked:\n"
+           "                            group_total += len(masks)\n",
+           "                        if sources & ~blocked:\n"
+           "                            group_total += len(masks)\n",
+           ("tests/test_morse.py::test_closing_multiplicities_recounted",
+            "tests/test_morse.py::test_facet_budget_boundary")),
+    Mutant("layer-walk-skips-reachability", "src/morsecomplex/morse.py",
+           "if fwd & mask and bwd & (mask | avail):",
+           "if fwd & mask and bwd & mask:",
+           ("tests/test_morse.py::test_layer_extendable_sets_from_scratch",)),
+    Mutant("layered-count-references-itself", "src/morsecomplex/morse.py",
+           "        self.memos: list[dict[int, int]] = [{} for _ in layers]\n",
+           "        self.memos: list[dict[int, int]] = [{} for _ in layers]\n"
+           "        self.views.append(self)\n",
+           ("tests/test_morse.py::test_facet_engine_keeps_no_state_after_return",)),
     Mutant("is-matching-always", "src/morsecomplex/morse.py",
            "    return len(used) == count\n", "    return True\n",
            ("tests/test_morse.py::test_is_matching",
