@@ -236,12 +236,12 @@ class _LayeredCount:
     within ``blocked``.
 
     Of a state, only the test ``need`` within the source mask reads
-    ``need``.  So each layer indexes its source groups by every bit of
+    ``need``.  So each layer indexes its source groups under each bit of
     their source mask, and each (layer, blocked) gets one view: the covers
     still free there, per lowest bit of ``need`` the groups under that bit
-    that are disjoint from ``blocked`` (filled when a state first asks),
-    and per source mask its total, the number of facet completions through
-    its members.  A total depends on (layer, blocked, source mask) alone and
+    that are disjoint from ``blocked``, and per source mask its total, the
+    number of facet completions through its members.  Index and lists are
+    filled when a state first asks for them.  A total depends on (layer, blocked, source mask) alone and
     is filled in when a state first selects the group: in the last layer
     from the closing multiplicities, below it as the sum of the members'
     states one layer up, so exactly the states reached from the index-0
