@@ -212,7 +212,10 @@ def cmd_kozlov(args) -> int:
     return EXIT_NEGATIVE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs more than a
+    small command does."""
     ap = _Parser(
         prog="morsecx",
         description="Discrete Morse complexes of complexes and multigraphs, "
@@ -255,16 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: building it costs more than a
-    small command does."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         # the command is looked up by name at call time, not bound into the
         # parser, so that the module's command functions can be replaced
         return globals()[f"cmd_{args.command}"](args)

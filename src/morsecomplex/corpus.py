@@ -67,29 +67,29 @@ def cycle_graph(n: int, prefix: str = "v") -> SimplicialComplex:
     return SimplicialComplex.closure([[labs[i], labs[(i + 1) % n]] for i in range(n)])
 
 
-def path_graph(n: int, prefix: str = "v") -> SimplicialComplex:
+def path_graph(n: int) -> SimplicialComplex:
     if n < 1:
         raise MalformedInputError("a path graph needs at least 1 vertex")
-    labs = _labels(n, prefix)
+    labs = _labels(n)
     if n == 1:
         return SimplicialComplex.closure([labs])
     return SimplicialComplex.closure([[labs[i], labs[i + 1]] for i in range(n - 1)])
 
 
-def star_graph(leaves: int, prefix: str = "v") -> SimplicialComplex:
-    labs = _labels(leaves + 1, prefix)
+def star_graph(leaves: int) -> SimplicialComplex:
+    labs = _labels(leaves + 1)
     return SimplicialComplex.closure([[labs[0], labs[i]] for i in range(1, leaves + 1)])
 
 
-def complete_graph(n: int, prefix: str = "v") -> SimplicialComplex:
-    labs = _labels(n, prefix)
+def complete_graph(n: int) -> SimplicialComplex:
+    labs = _labels(n)
     if n == 1:
         return SimplicialComplex.closure([labs])
     return SimplicialComplex.closure([[a, b] for a, b in combinations(labs, 2)])
 
 
-def graph_from_edges(n: int, edges: Iterable[tuple[int, int]], prefix: str = "v") -> SimplicialComplex:
-    labs = _labels(n, prefix)
+def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> SimplicialComplex:
+    labs = _labels(n)
     faces = [[lab] for lab in labs]
     faces += [[labs[u], labs[v]] for u, v in edges]
     return SimplicialComplex.closure(faces)

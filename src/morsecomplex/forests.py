@@ -24,7 +24,7 @@ from .morse import MorseComplex
 class DirectedGraph:
     """Loop-free directed multigraph with named arcs."""
 
-    __slots__ = ("labels", "arc_names", "arcs", "_index")
+    __slots__ = ("labels", "arc_names", "arcs")
 
     def __init__(self, labels: tuple[str, ...], arc_names: tuple[str, ...],
                  arcs: tuple[tuple[int, int], ...]):
@@ -38,7 +38,6 @@ class DirectedGraph:
         self.labels = labels
         self.arc_names = arc_names
         self.arcs = arcs
-        self._index = {lab: i for i, lab in enumerate(labels)}
 
     @classmethod
     def from_arcs(cls, arcs: Iterable[tuple[str, str, str]]) -> "DirectedGraph":

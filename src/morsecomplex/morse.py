@@ -241,21 +241,24 @@ class _LayeredCount:
     still free there, per lowest bit of ``need`` the groups under that bit
     that are disjoint from ``blocked``, and per source mask its total, the
     number of facet completions through its members.  Index and lists are
-    filled when a state first asks for them.  A total depends on (layer, blocked, source mask) alone and
-    is filled in when a state first selects the group: in the last layer
-    from the closing multiplicities, below it as the sum of the members'
-    states one layer up, so exactly the states reached from the index-0
-    layer are counted.  A state's count, the sum of the totals of the
-    groups whose source mask contains ``need``, is memoised per layer under
-    the int ``blocked | need << width``.  The pending targets of a member,
-    the targets of its free avail, are read through per-layer byte tables,
-    built only for layers with a layer above.
+    filled when a state first asks for them.  A total depends on (layer,
+    blocked, source mask) alone and is filled in when a state first
+    selects the group: in the last layer from the closing multiplicities,
+    below it as the sum of the members' states one layer up, so exactly
+    the states reached from the index-0 layer are counted.  A state's
+    count, the sum of the totals of the groups whose source mask contains
+    ``need``, is memoised per layer under the int ``blocked | need <<
+    width``.  The pending targets of a member, the targets of its free
+    avail, are read through per-layer byte tables, built only for layers
+    with a layer above.
 
-    The index-0 layer has no layer below and no need, so ``total`` runs
-    over its members one at a time, sorted by target mask: members with
-    the same targets share their view one layer up, so a refusal at the
-    budget fills few views.  The object holds no reference to itself, so
-    its views and memos are freed with it.
+    The index-0 layer has no layer below and no need, so its whole avail
+    is free and each member's pending targets are read once, at set-up: it
+    is kept as (mask, target mask, pending targets).  ``total`` runs over
+    these one at a time, sorted by target mask: members with the same
+    targets share their view one layer up, so a refusal at the budget
+    fills few views.  The object holds no reference to itself, so its
+    views and memos are freed with it.
     """
 
     __slots__ = ("top", "last", "layers", "from_source", "tables", "shifts", "by_bit",
@@ -263,8 +266,6 @@ class _LayeredCount:
 
     def __init__(self, layers: list[dict[int, list[tuple[int, int, int]]]],
                  blocks: list[range], sbit: list[int], tbit: list[int], deadline: float):
-        self.top = sorted((m for members in layers[0].values() for m in members),
-                          key=lambda m: m[1])
         self.deadline = deadline
         self.last = last = len(layers) - 1
         # the last layer's members by the source cells of their avail
@@ -300,21 +301,26 @@ class _LayeredCount:
             self.from_source.append(covers)
             self.tables.append((block.start, _byte_tables(block, tbit)))
             self.shifts.append(cells.bit_length())
+        # the index-0 members as (mask, target mask, pending targets), in
+        # target mask order
+        lo, byte_tables = self.tables[0]
+        top = []
+        for members in layers[0].values():
+            for mask, tm, avail in members:
+                avail >>= lo
+                pend = 0
+                for tab in byte_tables:
+                    pend |= tab[avail & 255]
+                    avail >>= 8
+                top.append((mask, tm, pend))
+        top.sort(key=lambda m: m[1])
+        self.top = top
         # per layer, its groups under each bit of their source mask (all of
         # them under 0), filled as states ask
         self.by_bit: list[dict[int, list[tuple[int, list]]]] = [{} for _ in layers]
         self.views: list[dict[int, tuple[int, dict[int, list], dict[int, int]]]] = [
             {} for _ in layers]
         self.memos: list[dict[int, int]] = [{} for _ in layers]
-
-    def pending(self, ki: int, avail: int) -> int:
-        lo, byte_tables = self.tables[ki]
-        avail >>= lo
-        need = 0
-        for tab in byte_tables:
-            need |= tab[avail & 255]
-            avail >>= 8
-        return need
 
     def selected(self, ki: int, blocked: int, need: int) -> tuple[int, list, dict[int, int]]:
         """(free covers, the groups under the lowest bit of ``need`` that are
@@ -362,8 +368,8 @@ class _LayeredCount:
                         if not sources & ~blocked:
                             group_total += len(masks)
                 else:
-                    # pending() and the memo lookup inlined: this loop runs
-                    # once per member of every selected group
+                    # the pending targets and the memo lookup inlined: this
+                    # loop runs once per member of every selected group
                     up = ki + 1
                     memo_up, shift = self.memos[up], self.shifts[up]
                     lo, byte_tables = self.tables[ki]
@@ -385,14 +391,8 @@ class _LayeredCount:
     def total(self, limit: float) -> int:
         """The number of facets, refused as soon as it passes ``limit``."""
         count, memo, shift = self.count, self.memos[1], self.shifts[1]
-        lo, byte_tables = self.tables[0]
         total = 0
-        for _, tm, avail in self.top:
-            avail >>= lo
-            pend = 0
-            for tab in byte_tables:
-                pend |= tab[avail & 255]
-                avail >>= 8
+        for _, tm, pend in self.top:
             got = memo.get(tm | pend << shift)
             total += count(1, tm, pend) if got is None else got
             if total > limit:
@@ -410,8 +410,7 @@ class _LayeredCount:
         ids: dict[int, tuple[int, ...]] = {}
         ids_of: dict[int, list[tuple[int, ...]]] = {}
         width = shifts[last]
-        for mask, tm, avail in self.top:
-            pend = self.pending(0, avail)
+        for mask, tm, pend in self.top:
             if not memos[1][tm | pend << shifts[1]]:
                 continue
             stack = [(1, tm, pend, _ids(mask))]
@@ -661,21 +660,20 @@ class MorseComplex:
         for s in range(n):
             if not cyclic >> s & 1:
                 continue
-            # circuits from their least pair s; a path carries its pairs, the
-            # pairs conflicting with one of them, the arcs out of all but its
-            # last pair and the arcs into all but its first, so an extension
-            # is any later pair reached from the last one that none of these
+            # circuits from their least pair s; a path carries its last pair
+            # u, the mask of its pairs, the pairs conflicting with one of
+            # them, the arcs out of all but u and the arcs into all but s, so
+            # an extension is any later pair reached from u that none of these
             # excludes: no conflict and no chord to or from the path
             later = cyclic >> s << s
-            stack = [((s,), 1 << s, conflict[s], 0, 0)]
+            stack = [(s, 1 << s, conflict[s], 0, 0)]
             while stack:
-                path, mask, clash, outs, ins = stack.pop()
+                u, mask, clash, outs, ins = stack.pop()
                 steps += 1
                 if steps % 4096 == 0:
                     _check_deadline(deadline, "enumerating gradient circuits")
-                u = path[-1]
-                if len(path) >= 2 and (arc[u] >> s) & 1:
-                    out.append(tuple(sorted(path)))
+                if (arc[u] >> s) & 1:  # never for u = s: no pair has an arc to itself
+                    out.append(_ids(mask))
                     continue  # extending would leave the chord u -> start
                 outs_u = outs | arc[u]
                 f = arc[u] & later & ~(mask | clash | outs | ins)
@@ -683,8 +681,7 @@ class MorseComplex:
                     b = f & -f
                     f ^= b
                     v = b.bit_length() - 1
-                    stack.append((path + (v,), mask | b, clash | conflict[v],
-                                  outs_u, ins | rev[v]))
+                    stack.append((v, mask | b, clash | conflict[v], outs_u, ins | rev[v]))
         return out
 
     # -- the quotient by non-adjacent pairs with equal links -------------------
@@ -773,12 +770,10 @@ class MorseComplex:
         covers conflicting with c, and the covers d that close a cycle with
         the child; that cycle runs through c (the parent is acyclic with d),
         so d is exactly a successor of c's forward closure and of its
-        backward closure inside the parent.  A closure adds to c's own arcs
-        only where those meet the parent, and it can remove a cover only
-        where the other side's successors meet the avail, so each closure
-        is searched only then.  The child's DFS candidates are its avail
-        among the parent's remaining higher candidates, which keeps the
-        enumeration order.  ``cap`` bounds the enumeration as a memory
+        backward closure inside the parent, each searched only where c's
+        arcs that way meet the parent.  The child's DFS candidates are its
+        avail among the parent's remaining higher candidates, which keeps
+        the enumeration order.  ``cap`` bounds the enumeration as a memory
         guard.
         """
         conflict, arc, rev = self._conflict, self._arc, self._rev
@@ -805,9 +800,9 @@ class MorseComplex:
                 f ^= b
                 c = b.bit_length() - 1
                 fwd, bwd = arc[c], rev[c]
-                if fwd & mask and bwd & (mask | avail):
+                if fwd & mask:
                     fwd = reach(b, mask, arc)
-                if bwd & mask and fwd & avail:
+                if bwd & mask:
                     bwd = reach(b, mask, rev)
                 child = avail & ~(b | conflict[c] | (fwd & bwd))
                 stack.append((mask | b, sm | sbit[c], tm | tbit[c], child & f, child))

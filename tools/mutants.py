@@ -56,10 +56,20 @@ MUTANTS = (
            "                            group_total += len(masks)\n",
            ("tests/test_morse.py::test_closing_multiplicities_recounted",
             "tests/test_morse.py::test_facet_budget_boundary")),
-    Mutant("layer-walk-skips-reachability", "src/morsecomplex/morse.py",
-           "if fwd & mask and bwd & (mask | avail):",
-           "if fwd & mask and bwd & mask:",
+    Mutant("layer-walk-no-backward-closure", "src/morsecomplex/morse.py",
+           "                if bwd & mask:\n                    bwd = reach(b, mask, rev)\n",
+           "",
            ("tests/test_morse.py::test_layer_extendable_sets_from_scratch",)),
+    Mutant("circuit-drops-start-pair", "src/morsecomplex/morse.py",
+           "out.append(_ids(mask))", "out.append(_ids(mask ^ 1 << s))",
+           ("tests/test_morse.py::test_minimal_nonfaces_pinned_in_order",)),
+    Mutant("top-pending-read-as-zero", "src/morsecomplex/morse.py",
+           "top.append((mask, tm, pend))", "top.append((mask, tm, 0))",
+           ("tests/test_morse.py::test_facet_count_of_full_4_simplex",
+            "tests/test_morse.py::test_facet_counts_and_listings_pinned")),
+    Mutant("top-sorted-by-cover-mask", "src/morsecomplex/morse.py",
+           "top.sort(key=lambda m: m[1])", "top.sort(key=lambda m: m[0])",
+           ("tests/test_morse.py::test_facets_refused_before_the_count_ends",)),
     Mutant("layered-count-references-itself", "src/morsecomplex/morse.py",
            "        self.memos: list[dict[int, int]] = [{} for _ in layers]\n",
            "        self.memos: list[dict[int, int]] = [{} for _ in layers]\n"
@@ -74,6 +84,13 @@ MUTANTS = (
            "                if False:\n                    return False\n",
            ("tests/test_morse.py::test_is_acyclic_on_oriented_triangle",
             "tests/test_morse.py::test_multigraph_two_cycle")),
+    Mutant("search-direction-fixed", "src/morsecomplex/isomorphism.py",
+           "    backwards = _certificate(labels_b, fams_b) < _certificate(labels_a, fams_a)\n",
+           "    backwards = False\n",
+           ("tests/test_isomorphism.py::test_morse_witnesses_pinned",)),
+    Mutant("multigraph-multiplicity-short", "src/morsecomplex/corpus.py",
+           "for _ in range(r + 1):", "for _ in range(r):",
+           ("tests/test_corpus.py::test_connected_multigraphs_pinned",)),
     Mutant("morse-iso-skips-nonfaces", "src/morsecomplex/reconstruction.py",
            "        if nf_K != nf_L:\n", "        if False:\n",
            ("tests/test_reconstruction.py::test_invalid_morse_iso_rejected",)),
