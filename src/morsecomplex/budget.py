@@ -21,9 +21,8 @@ class Budget:
 
     ``max_facets`` caps the listings of the Morse complex that owns the
     budget: the facets ``MorseComplex.facets()`` lists and also the faces
-    ``MorseComplex.faces()`` (and so ``as_complex()``) materialises.  A
-    listing is cached on first use, so the cap is the one the complex was
-    built with.  ``max_seconds`` bounds each enumeration and search.
+    ``MorseComplex.faces()`` (and so ``as_complex()``) materialises.
+    ``max_seconds`` bounds each enumeration and search.
     """
 
     max_facets: int = 1_000_000

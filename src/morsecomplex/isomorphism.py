@@ -123,8 +123,6 @@ def _refine(sets_a: list[tuple[int, ...]], rows_a: list[list[int]],
     A before B.
     """
     n_a = len(rows_a)
-    if n_a != len(rows_b):
-        return None
     sets = sets_a + [tuple([n_a + u for u in S]) for S in sets_b]
     rows = rows_a + [[len(sets_a) + i for i in row] for row in rows_b]
     n = len(rows)

@@ -114,8 +114,7 @@ class HasseDiagram:
 def hasse(obj: Source) -> HasseDiagram:
     """Hasse diagram of a simplicial complex or multigraph."""
     if isinstance(obj, SimplicialComplex):
-        cells = sorted(((len(s) - 1, obj.to_labels(s)) for s in obj.simplices),
-                       key=lambda c: (c[0], c[1]))
+        cells = sorted((len(s) - 1, obj.to_labels(s)) for s in obj.simplices)
         pos = {c: i for i, c in enumerate(cells)}
         covers = []
         for dim, name in cells:
@@ -134,7 +133,7 @@ def hasse(obj: Source) -> HasseDiagram:
             covers.append((pos[(0, (obj.labels[v],))], t))
     else:
         raise TypeError(f"no Hasse diagram for {type(obj).__name__}")
-    covers.sort(key=lambda st: (cells[st[0]][0], cells[st[0]][1], cells[st[1]][1]))
+    covers.sort()
     return HasseDiagram(tuple(cells), tuple(covers))
 
 
@@ -526,8 +525,6 @@ class MorseComplex:
         self._compat: Optional[list[int]] = None
         self._nonfaces: Optional[list[tuple[int, ...]]] = None
         self._quotient: Optional[list[int]] = None
-        self._facets: Optional[tuple[tuple[int, ...], ...]] = None
-        self._faces: Optional[tuple[tuple[int, ...], ...]] = None
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -970,48 +967,43 @@ class MorseComplex:
         Raises EnumerationBudgetError as soon as the count passes
         ``budget.max_facets``, before anything is listed; the message gives
         the count reached so far, a lower bound on the number of facets."""
-        if self._facets is None:
-            budget = self.budget
-            if self.n_pairs == 0:
-                self._facets = ()
-                return self._facets
-            total, lister = self._facet_engine(budget, budget.max_facets)
-            facets = sorted(lister(budget.deadline()))
-            if len(facets) != total:
-                raise TheoremContradictionError(
-                    f"facet lister produced {len(facets)} facets but the count is {total}")
-            self._facets = tuple(facets)
-        return self._facets
+        budget = self.budget
+        if self.n_pairs == 0:
+            return ()
+        total, lister = self._facet_engine(budget, budget.max_facets)
+        facets = sorted(lister(budget.deadline()))
+        if len(facets) != total:
+            raise TheoremContradictionError(
+                f"facet lister produced {len(facets)} facets but the count is {total}")
+        return tuple(facets)
 
     def faces(self) -> tuple[tuple[int, ...], ...]:
         """Every acyclic matching (simplices of M(K)), the empty one excluded.
 
         Raises EnumerationBudgetError past the complex's ``budget.max_facets``
         faces: the facet cap is also the face cap."""
-        if self._faces is None:
-            budget = self.budget
-            deadline = budget.deadline()
-            out = []
-            stack = [((), 0, (1 << self.n_pairs) - 1)]
-            while stack:
-                ids, mask, cand = stack.pop()
-                if ids:
-                    out.append(ids)
-                    if len(out) > budget.max_facets:
-                        raise EnumerationBudgetError(
-                            f"Morse complex has more than {budget.max_facets} faces")
-                if len(out) % 4096 == 0:
-                    _check_deadline(deadline, "materialising faces")
-                f = cand
-                while f:
-                    b = f & -f
-                    f ^= b
-                    c = b.bit_length() - 1
-                    if self._creates_cycle(c, mask):
-                        continue
-                    stack.append((ids + (c,), mask | b, f & ~self._conflict[c]))
-            self._faces = tuple(sorted(out))
-        return self._faces
+        budget = self.budget
+        deadline = budget.deadline()
+        out = []
+        stack = [((), 0, (1 << self.n_pairs) - 1)]
+        while stack:
+            ids, mask, cand = stack.pop()
+            if ids:
+                out.append(ids)
+                if len(out) > budget.max_facets:
+                    raise EnumerationBudgetError(
+                        f"Morse complex has more than {budget.max_facets} faces")
+            if len(out) % 4096 == 0:
+                _check_deadline(deadline, "materialising faces")
+            f = cand
+            while f:
+                b = f & -f
+                f ^= b
+                c = b.bit_length() - 1
+                if self._creates_cycle(c, mask):
+                    continue
+                stack.append((ids + (c,), mask | b, f & ~self._conflict[c]))
+        return tuple(sorted(out))
 
     # -- views ---------------------------------------------------------------
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .complexes import (Multigraph, SimplicialComplex, VertexBijection,
                         is_boundary_simplex, union_find)
@@ -53,37 +53,28 @@ from .morse import MorseComplex, RegularPair
 
 
 class MorseIso:
-    """A simplicial isomorphism between two Morse complexes, as a bijection of
-    their regular pairs.
+    """A simplicial isomorphism F: M(K) -> M(L) of Morse complexes, as a
+    permutation of pair indices: ``image[i]`` is the M_L index of the image
+    of pair i of M_K.
 
-    Validated at construction: the bijection must map the minimal non-faces
-    of one side exactly onto those of the other, which is equivalent to being
-    simplicial in both directions and never touches the facet lists.
+    Validated at construction: ``image`` must be a permutation of the pair
+    indices, and it must map the minimal non-faces of one side exactly onto
+    those of the other, which is equivalent to being simplicial in both
+    directions and never touches the facet lists.
     """
 
-    def __init__(self, M_K: MorseComplex, M_L: MorseComplex,
-                 forward: dict[RegularPair, RegularPair]):
+    def __init__(self, M_K: MorseComplex, M_L: MorseComplex, image: Iterable[int]):
         self.M_K = M_K
         self.M_L = M_L
-        self.forward = dict(forward)
-        self.backward = {w: v for v, w in self.forward.items()}
-        self._validate()
-
-    def _validate(self):
-        M_K, M_L = self.M_K, self.M_L
-        if M_K.n_pairs != M_L.n_pairs or len(self.forward) != M_K.n_pairs:
-            raise InvalidIsomorphismError("pair sets have different sizes")
-        if len(self.backward) != len(self.forward):
-            raise InvalidIsomorphismError("pair mapping is not injective")
-        if set(self.forward) != set(M_K.pairs) or set(self.backward) != set(M_L.pairs):
-            raise InvalidIsomorphismError("pair mapping does not cover both pair sets")
+        self.image = tuple(image)
+        n = M_K.n_pairs
+        if M_L.n_pairs != n or sorted(self.image) != list(range(n)):
+            raise InvalidIsomorphismError("pair map is not a bijection of the pair sets")
         # non-faces as bitmasks: the pair map is a bijection, so the sum of
         # the image bits of a non-face is the mask of its image
-        image = [0] * M_K.n_pairs
-        for p, q in self.forward.items():
-            image[M_K.index_of_pair(p)] = 1 << M_L.index_of_pair(q)
-        bit = [1 << i for i in range(M_L.n_pairs)]
-        nf_K = {sum(map(image.__getitem__, nf)) for nf in M_K.minimal_nonfaces()}
+        bit = [1 << i for i in range(n)]
+        image_bit = [1 << j for j in self.image]
+        nf_K = {sum(map(image_bit.__getitem__, nf)) for nf in M_K.minimal_nonfaces()}
         nf_L = {sum(map(bit.__getitem__, nf)) for nf in M_L.minimal_nonfaces()}
         if nf_K != nf_L:
             raise InvalidIsomorphismError(
@@ -93,26 +84,22 @@ class MorseIso:
     def from_vertex_bijection(cls, M_K: MorseComplex, M_L: MorseComplex,
                               bij: VertexBijection) -> "MorseIso":
         """Lift a bijection of pair ids to a MorseIso."""
-        forward = {}
-        for pid, pair in M_K.pair_table():
-            forward[pair] = M_L.pair_of_id(bij(pid))
-        return cls(M_K, M_L, forward)
+        return cls(M_K, M_L, [M_L.index_of_pair(M_L.pair_of_id(bij(pid)))
+                              for pid in M_K.pair_ids])
 
     @classmethod
     def functorial(cls, M_K: MorseComplex, M_L: MorseComplex,
                    h: VertexBijection) -> "MorseIso":
         """The pairwise image of an isomorphism h of the underlying complexes:
         (source, target) -> (h source, h target)."""
-        forward = {}
+        image = []
         for p in M_K.pairs:
-            forward[p] = RegularPair(h.map_face(p.source), h.map_face(p.target), p.index)
-        return cls(M_K, M_L, forward)
-
-    def __call__(self, pair: RegularPair) -> RegularPair:
-        return self.forward[pair]
-
-    def inverse_of(self, pair: RegularPair) -> RegularPair:
-        return self.backward[pair]
+            try:
+                q = RegularPair(h.map_face(p.source), h.map_face(p.target), p.index)
+                image.append(M_L.index_of_pair(q))
+            except KeyError:
+                raise InvalidIsomorphismError(f"h sends {p} to no pair of M_L") from None
+        return cls(M_K, M_L, image)
 
     def __repr__(self):
         return f"MorseIso<{self.M_K.n_pairs} pairs>"
@@ -133,17 +120,20 @@ class AnomalyWitness(NamedTuple):
 
 
 def detect_index_anomaly(F: MorseIso) -> Optional[AnomalyWitness]:
-    """First index-0 pair (under F or its inverse) mapped to index >= 1.
+    """First index-0 pair of M_K whose image has index >= 1, else the first
+    index-0 pair of M_L whose preimage has; both are read off ``F.image``.
 
     A witness forces both complexes to be simplex boundaries; the caller must
     confirm that via is_boundary_simplex.
     """
-    for p in F.M_K.pairs:
-        if p.index == 0 and F(p).index >= 1:
-            return AnomalyWitness("forward", p, F(p))
-    for q in F.M_L.pairs:
-        if q.index == 0 and F.inverse_of(q).index >= 1:
-            return AnomalyWitness("backward", q, F.inverse_of(q))
+    pairs_K, pairs_L = F.M_K.pairs, F.M_L.pairs
+    for p, j in zip(pairs_K, F.image):
+        if p.index == 0 and pairs_L[j].index >= 1:
+            return AnomalyWitness("forward", p, pairs_L[j])
+    preimage = sorted(range(len(F.image)), key=F.image.__getitem__)
+    for q, i in zip(pairs_L, preimage):
+        if q.index == 0 and pairs_K[i].index >= 1:
+            return AnomalyWitness("backward", q, pairs_K[i])
     return None
 
 
@@ -238,13 +228,15 @@ def _require_graph(K: SimplicialComplex, name: str):
 
 def _source_formula(F: MorseIso) -> VertexBijection:
     """The vertex map f(v) = source(F(v, e)) read off the index-0 pairs of F,
-    which F keeps at index 0 when it has no index anomaly; every pair of a
-    multigraph is one (vertex, edge) at index 0.  The independence from the
-    chosen edge is verified, as is injectivity."""
-    by_source: dict[str, list[RegularPair]] = {}
-    for p in F.M_K.pairs:
+    each paired with its image through ``F.image``; F keeps them at index 0
+    when it has no index anomaly, and every pair of a multigraph is one
+    (vertex, edge) at index 0.  The independence from the chosen edge is
+    verified, as is injectivity."""
+    by_source: dict[str, list[tuple[RegularPair, RegularPair]]] = {}
+    pairs_L = F.M_L.pairs
+    for p, j in zip(F.M_K.pairs, F.image):
         if p.index == 0:
-            by_source.setdefault(p.source[0], []).append(p)
+            by_source.setdefault(p.source[0], []).append((p, pairs_L[j]))
     forward = {}
     for v in F.M_K.source.labels:
         incident = by_source.get(v, ())
@@ -252,9 +244,9 @@ def _source_formula(F: MorseIso) -> VertexBijection:
             raise TheoremContradictionError(
                 f"{v} has no pair, yet a connected graph with >= 2 vertices "
                 "has no isolated vertex")
-        images = {F(p).source[0] for p in incident}
+        images = {q.source[0] for _, q in incident}
         if len(images) != 1:
-            witness = {F(p).source[0]: p for p in incident}
+            witness = {q.source[0]: p for p, q in incident}
             w1, w2 = sorted(witness)[:2]
             raise TheoremContradictionError(
                 f"f({v}) depends on the incident edge: {witness[w1]} maps to "
@@ -329,9 +321,9 @@ def reconstruct_complex_iso(F: MorseIso) -> VertexBijection:
         try:
             f = _source_formula(F)
             # skeleton-by-skeleton consistency: F must act on every pair as f does
-            for p in F.M_K.pairs:
+            for p, j in zip(F.M_K.pairs, F.image):
                 expected = RegularPair(f.map_face(p.source), f.map_face(p.target), p.index)
-                got = F(p)
+                got = F.M_L.pairs[j]
                 if got != expected:
                     raise TheoremContradictionError(
                         f"inductive extension fails at index {p.index}: "

@@ -348,6 +348,15 @@ def test_facet_engine_keeps_no_state_after_return():
         assert retained < 2 ** 20, (method, retained)
 
 
+def test_morse_complex_keeps_no_listing():
+    # faces() and facets() compute their listing per call: once they return,
+    # no attribute of M holds it
+    M = morse_complex(full_simplex("abc"))
+    listings = (M.faces(), M.facets())
+    assert all(listings)
+    assert not any(v is L for v in vars(M).values() for L in listings)
+
+
 def test_graph_facet_listing_time_budget_error():
     # K7's walk takes more than 4096 steps, so it stops on an expired budget
     M = morse_complex(complete_graph(7), Budget(max_seconds=0))

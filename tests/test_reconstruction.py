@@ -44,7 +44,25 @@ def test_invalid_morse_iso_rejected():
     p0, p1, p2, p3 = M.pairs
     mapping = {p0: p0, p1: p2, p2: p1, p3: p3}
     with pytest.raises(InvalidIsomorphismError):
-        MorseIso(M, M, mapping)
+        MorseIso(M, M, [M.index_of_pair(mapping[p]) for p in M.pairs])
+
+
+def test_morse_iso_image_must_be_a_permutation():
+    M = morse_complex(path_graph(3))
+    assert MorseIso(M, M, range(4)).image == (0, 1, 2, 3)
+    for image in ([0, 1, 2], [0, 1, 2, 3, 4], [0, 1, 1, 3], [0, 0, 2, 3]):
+        with pytest.raises(InvalidIsomorphismError):
+            MorseIso(M, M, image)
+
+
+def test_functorial_rejects_a_map_that_is_not_simplicial():
+    # h sends the edge bc to xz, a non-edge of the path x-y-z, or leaves c
+    # unmapped
+    M = morse_complex(closure([["a", "b"], ["b", "c"]]))
+    Mp = morse_complex(closure([["x", "y"], ["y", "z"]]))
+    for h in ({"a": "y", "b": "x", "c": "z"}, {"a": "x", "b": "y"}):
+        with pytest.raises(InvalidIsomorphismError):
+            MorseIso.functorial(M, Mp, VertexBijection(h))
 
 
 # -- quotient machinery -------------------------------------------------------
@@ -295,7 +313,7 @@ def test_complementation_duality_is_the_index_mixer():
             s = tuple(sorted(V - set(p.target)))
             t = tuple(sorted(V - set(p.source)))
             fwd[p] = RegularPair(s, t, len(s) - 1)
-        F = MorseIso(M, M, fwd)
+        F = MorseIso(M, M, [M.index_of_pair(fwd[p]) for p in M.pairs])
         w = detect_index_anomaly(F)
         assert w is not None and w.pair.index == 0 and w.image.index == len(labels) - 3
         f = reconstruct_complex_iso(F)
@@ -476,10 +494,10 @@ def test_forced_branches_check_their_map(monkeypatch):
                      if detect_index_anomaly(F) is not None)
     C = cycle_graph(4)
     M_C = morse_complex(C)
-    induced = [MorseIso.functorial(M_C, M_C, h).forward for h in all_isomorphisms(C, C)]
+    induced = [MorseIso.functorial(M_C, M_C, h).image for h in all_isomorphisms(C, C)]
     non_induced = next(F for F in (MorseIso.from_vertex_bijection(M_C, M_C, a)
                                    for a in all_isomorphisms(M_C, M_C))
-                       if F.forward not in induced)
+                       if F.image not in induced)
     assert reconstruct_complex_iso(non_induced).forward == find_isomorphism(C, C).forward
     cases = [find_morse_isomorphism(morse_complex(K), morse_complex(K))
              for K in (full_simplex("a"), full_simplex("abc"))] + [anomalous, non_induced]

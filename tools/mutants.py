@@ -75,6 +75,10 @@ MUTANTS = (
            "        self.memos: list[dict[int, int]] = [{} for _ in layers]\n"
            "        self.views.append(self)\n",
            ("tests/test_morse.py::test_facet_engine_keeps_no_state_after_return",)),
+    Mutant("facets-kept-on-the-complex", "src/morsecomplex/morse.py",
+           "        return tuple(facets)\n",
+           "        self._facets = tuple(facets)\n        return self._facets\n",
+           ("tests/test_morse.py::test_morse_complex_keeps_no_listing",)),
     Mutant("is-matching-always", "src/morsecomplex/morse.py",
            "    return len(used) == count\n", "    return True\n",
            ("tests/test_morse.py::test_is_matching",
@@ -94,9 +98,13 @@ MUTANTS = (
     Mutant("morse-iso-skips-nonfaces", "src/morsecomplex/reconstruction.py",
            "        if nf_K != nf_L:\n", "        if False:\n",
            ("tests/test_reconstruction.py::test_invalid_morse_iso_rejected",)),
+    Mutant("morse-iso-not-a-permutation", "src/morsecomplex/reconstruction.py",
+           "        if M_L.n_pairs != n or sorted(self.image) != list(range(n)):\n",
+           "        if False:\n",
+           ("tests/test_reconstruction.py::test_morse_iso_image_must_be_a_permutation",)),
     Mutant("source-formula-ignores-F", "src/morsecomplex/reconstruction.py",
-           "        images = {F(p).source[0] for p in incident}\n",
-           "        images = {p.source[0] for p in incident}\n",
+           "        images = {q.source[0] for _, q in incident}\n",
+           "        images = {p.source[0] for p, _ in incident}\n",
            ("tests/test_reconstruction.py::test_reconstruct_triangle_permutation",
             "tests/test_reconstruction.py::test_induced_automorphisms_recovered_exactly")),
     Mutant("fallback-skips-final-check", "src/morsecomplex/reconstruction.py",
