@@ -19,10 +19,13 @@ of covers, each with its extendable set (the covers that extend it inside
 the layer), which the search carries from parent to child instead of
 testing every cover again.  A memoised count over interface states prices
 the output before anything is listed; a state depends on a matching only
-through its source mask, so each layer's matchings are grouped by it.  The
-count is a sum of non-negative terms, one per matching of the index-0
-layer, so a listing is refused as soon as the running total passes the
-facet budget, while ``facet_count()`` counts to the end.
+through its source mask, so the matchings of layers 2 and up are grouped by
+it, and those of index 0 are folded into one state per target mask.  The
+count is a sum of non-negative terms, one per matching of the index-1
+layer, added as the walk of that layer yields it, so a listing is refused
+partway through the walk as soon as the running total passes the facet
+budget, while ``facet_count()`` counts to the end.  The listing walks the
+index-1 matchings that the count kept.
 
 For a graph or multigraph the index-0 layer is the only one, its acyclic
 matchings are rooted forests (each matched vertex points along its edge) and
@@ -219,8 +222,9 @@ def _over_budget(count: int, limit: float) -> EnumerationBudgetError:
 
 
 class _LayeredCount:
-    """The facets of a complex with more than one layer, counted between
-    layers from each layer's matchings (``MorseComplex._layer_matchings``).
+    """The facets of a complex with more than one layer, summed over the
+    matchings of the index-1 layer as its walk
+    (``MorseComplex._layer_matchings``) yields them.
 
     A layer's matching extends to a facet iff no cover of its avail stays
     addable: a cover whose source is a target of the layer below
@@ -230,110 +234,151 @@ class _LayeredCount:
     and whether a matching fits a state (blocked, need) depends on its
     source mask alone.  In the last layer nothing lies above, so a matching
     closes a facet iff the source cells of its avail lie within
-    ``blocked``: there each source group keeps its members by those source
-    cells, and closes as many facets as the members whose sources lie
-    within ``blocked``.
+    ``blocked``.
 
-    Of a state, only the test ``need`` within the source mask reads
-    ``need``.  So each layer indexes its source groups under each bit of
-    their source mask, and each (layer, blocked) gets one view: the covers
-    still free there, per lowest bit of ``need`` the groups under that bit
-    that are disjoint from ``blocked``, and per source mask its total, the
-    number of facet completions through its members.  Index and lists are
-    filled when a state first asks for them.  A total depends on (layer,
-    blocked, source mask) alone and is filled in when a state first
-    selects the group: in the last layer from the closing multiplicities,
-    below it as the sum of the members' states one layer up, so exactly
-    the states reached from the index-0 layer are counted.  A state's
-    count, the sum of the totals of the groups whose source mask contains
-    ``need``, is memoised per layer under the int ``blocked | need <<
-    width``.  The pending targets of a member, the targets of its free
+    The index-0 layer has no layer below, so its whole avail is free: its
+    members are folded once into states, one per target mask, each holding
+    its members by pending targets (the targets of their avail) and the
+    covers of index 1 it leaves free.  An index-1 member with source mask
+    sm fits the states whose target mask misses sm, each weighted by its
+    members whose pending targets lie within sm; these weights are filled
+    per sm when a member first asks for them.  Against each such state the
+    member's pending targets are the targets of its free avail, and it adds
+    the weight times the count one layer up; where index 1 is the last
+    layer, it adds the weight of each state whose free covers miss its
+    avail.  Every term is non-negative, so the running total refuses at a
+    limit partway through the walk.
+
+    Layers 2 and up are grouped by source mask.  Of a state, only the test
+    ``need`` within the source mask reads ``need``.  So each such layer
+    indexes its source groups under each bit of their source mask, and each
+    (layer, blocked) gets one view: the covers still free there, per lowest
+    bit of ``need`` the groups under that bit that are disjoint from
+    ``blocked``, and per source mask its total, the number of facet
+    completions through its members.  Index and lists are filled when a
+    state first asks for them.  A total depends on (layer, blocked, source
+    mask) alone and is filled in when a state first selects the group: in
+    the last layer, where each source group keeps its members by the source
+    cells of their avail, as the members whose sources lie within
+    ``blocked``; below it as the sum of the members' states one layer up.
+    A state's count, the sum of the totals of the groups whose source mask
+    contains ``need``, is memoised per layer under the int ``blocked | need
+    << width``.  The pending targets of a member, the targets of its free
     avail, are read through per-layer byte tables, built only for layers
-    with a layer above.
-
-    The index-0 layer has no layer below and no need, so its whole avail
-    is free and each member's pending targets are read once, at set-up: it
-    is kept as (mask, target mask, pending targets).  ``total`` runs over
-    these one at a time, sorted by target mask: members with the same
-    targets share their view one layer up, so a refusal at the budget
-    fills few views.  The object holds no reference to itself, so its
+    with a layer above.  The object holds no reference to itself, so its
     views and memos are freed with it.
     """
 
-    __slots__ = ("top", "last", "layers", "from_source", "tables", "shifts", "by_bit",
-                 "deadline", "views", "memos")
+    __slots__ = ("walk", "states", "weights", "kept", "last", "layers", "from_source",
+                 "tables", "shifts", "by_bit", "deadline", "views", "memos")
 
-    def __init__(self, layers: list[dict[int, list[tuple[int, int, int]]]],
-                 blocks: list[range], sbit: list[int], tbit: list[int], deadline: float):
+    def __init__(self, walks: list, blocks: list[range], sbit: list[int], tbit: list[int],
+                 deadline: float):
         self.deadline = deadline
-        self.last = last = len(layers) - 1
-        # the last layer's members by the source cells of their avail
-        lo, source_tables = blocks[last].start, _byte_tables(blocks[last], sbit)
-        closing: dict[int, list[tuple[int, list[int]]]] = {}
-        for sm, members in layers[last].items():
-            by_sources: dict[int, list[int]] = {}
-            for mask, _, avail in members:
-                avail >>= lo
-                sources = 0
-                for tab in source_tables:
-                    sources |= tab[avail & 255]
-                    avail >>= 8
-                group = by_sources.get(sources)
-                if group is None:
-                    by_sources[sources] = [mask]
-                else:
-                    group.append(mask)
-            closing[sm] = list(by_sources.items())
-        self.layers = layers[:-1] + [closing]
-        # per layer below the last: its covers by source cell, its first
+        self.last = last = len(walks) - 1
+        # per layer: its covers by source cell; below the last, its first
         # cover with the target bits of its byte tables, and the width of
         # the cell masks of the layer above
         self.from_source = []
         self.tables = []
         self.shifts = [0]
-        for block in blocks[:-1]:
+        for ki, block in enumerate(blocks):
             covers: dict[int, int] = {}
             cells = 0
             for c in block:
                 covers[sbit[c]] = covers.get(sbit[c], 0) | 1 << c
                 cells |= tbit[c]
             self.from_source.append(covers)
-            self.tables.append((block.start, _byte_tables(block, tbit)))
-            self.shifts.append(cells.bit_length())
-        # the index-0 members as (mask, target mask, pending targets), in
-        # target mask order
+            if ki < last:
+                self.tables.append((block.start, _byte_tables(block, tbit)))
+                self.shifts.append(cells.bit_length())
+        # the index-0 members folded into states: per target mask, the
+        # covers of index 1 free there and its members by pending targets
         lo, byte_tables = self.tables[0]
-        top = []
-        for members in layers[0].values():
-            for mask, tm, avail in members:
-                avail >>= lo
-                pend = 0
-                for tab in byte_tables:
-                    pend |= tab[avail & 255]
-                    avail >>= 8
-                top.append((mask, tm, pend))
-        top.sort(key=lambda m: m[1])
-        self.top = top
-        # per layer, its groups under each bit of their source mask (all of
-        # them under 0), filled as states ask
-        self.by_bit: list[dict[int, list[tuple[int, list]]]] = [{} for _ in layers]
+        folded: dict[int, dict[int, list[int]]] = {}
+        for mask, _, tm, avail in walks[0]:
+            avail >>= lo
+            pend = 0
+            for tab in byte_tables:
+                pend |= tab[avail & 255]
+                avail >>= 8
+            pends = folded.get(tm)
+            if pends is None:
+                folded[tm] = {pend: [mask]}
+            elif pend in pends:
+                pends[pend].append(mask)
+            else:
+                pends[pend] = [mask]
+        self.states = [(tm, self.free(1, tm), list(pends.items()))
+                       for tm, pends in folded.items()]
+        self.weights: dict[int, list[tuple[int, int, list]]] = {}
+        self.walk = walks[1]
+        self.kept: list[tuple[int, int, int, int]] = []
+        # layers 2 and up by source mask, the last one's members by the
+        # source cells of their avail (index 0 and 1 are left empty)
+        self.layers: list[dict[int, list]] = [{} for _ in walks]
+        for ki in range(2, last + 1):
+            groups = self.layers[ki]
+            for member in walks[ki]:
+                group = groups.get(member[1])
+                if group is None:
+                    groups[member[1]] = [member]
+                else:
+                    group.append(member)
+        if last > 1:
+            lo, source_tables = blocks[last].start, _byte_tables(blocks[last], sbit)
+            closing = self.layers[last]
+            for sm, members in closing.items():
+                by_sources: dict[int, list[int]] = {}
+                for mask, _, _, avail in members:
+                    sources = _union(avail >> lo, source_tables)
+                    group = by_sources.get(sources)
+                    if group is None:
+                        by_sources[sources] = [mask]
+                    else:
+                        group.append(mask)
+                closing[sm] = list(by_sources.items())
+        # per layer from 2, its groups under each bit of their source mask
+        # (all of them under 0), filled as states ask
+        self.by_bit: list[dict[int, list[tuple[int, list]]]] = [{} for _ in walks]
         self.views: list[dict[int, tuple[int, dict[int, list], dict[int, int]]]] = [
-            {} for _ in layers]
-        self.memos: list[dict[int, int]] = [{} for _ in layers]
+            {} for _ in walks]
+        self.memos: list[dict[int, int]] = [{} for _ in walks]
+
+    def free(self, ki: int, blocked: int) -> int:
+        """The covers of layer ``ki`` whose source is not in ``blocked``."""
+        covers = self.from_source[ki]
+        free = -1
+        while blocked:
+            b = blocked & -blocked
+            blocked ^= b
+            free &= ~covers.get(b, 0)
+        return free
+
+    def fitting(self, sm: int) -> list[tuple[int, int, list[tuple[int, list[int]]]]]:
+        """The states an index-1 member with source mask ``sm`` fits: those
+        whose target mask misses ``sm`` with members whose pending targets
+        lie within ``sm``, as (covers of index 1 free there, the number of
+        those members, the state's members by pending targets)."""
+        _check_deadline(self.deadline, "counting facets")
+        out = self.weights[sm] = []
+        for tm, free, pends in self.states:
+            if tm & sm:
+                continue
+            weight = 0
+            for pend, masks in pends:
+                if not pend & ~sm:
+                    weight += len(masks)
+            if weight:
+                out.append((free, weight, pends))
+        return out
 
     def selected(self, ki: int, blocked: int, need: int) -> tuple[int, list, dict[int, int]]:
         """(free covers, the groups under the lowest bit of ``need`` that are
         disjoint from ``blocked``, the view's totals by source mask)."""
         view = self.views[ki].get(blocked)
         if view is None:
-            free = -1
-            if ki < self.last:
-                covers = self.from_source[ki]
-                rest = blocked
-                while rest:
-                    b = rest & -rest
-                    rest ^= b
-                    free &= ~covers.get(b, 0)
+            free = self.free(ki, blocked) if ki < self.last else -1
             view = self.views[ki][blocked] = (free, {}, {})
         free, lists, totals = view
         low = need & -need
@@ -347,7 +392,7 @@ class _LayeredCount:
         return free, groups, totals
 
     def count(self, ki: int, blocked: int, need: int) -> int:
-        """Facet completions from layer ``ki`` >= 1 up, in state (blocked, need)."""
+        """Facet completions from layer ``ki`` >= 2 up, in state (blocked, need)."""
         memo = self.memos[ki]
         key = blocked | need << self.shifts[ki]
         got = memo.get(key)
@@ -372,7 +417,7 @@ class _LayeredCount:
                     up = ki + 1
                     memo_up, shift = self.memos[up], self.shifts[up]
                     lo, byte_tables = self.tables[ki]
-                    for _, tm, avail in group:
+                    for _, _, tm, avail in group:
                         avail = (avail & free) >> lo
                         pend = 0
                         for tab in byte_tables:
@@ -388,66 +433,129 @@ class _LayeredCount:
         return total
 
     def total(self, limit: float) -> int:
-        """The number of facets, refused as soon as it passes ``limit``."""
-        count, memo, shift = self.count, self.memos[1], self.shifts[1]
+        """The number of facets, refused at the first member of index 1
+        after which it passes ``limit``.  Under a finite limit the members
+        with a term are kept for ``facets``: each term counts a facet, so at
+        most ``limit`` of them."""
+        weights, fitting, closing = self.weights, self.fitting, self.last == 1
+        keep = self.kept.append if limit < math.inf else None
+        if not closing:
+            count, memo, shift = self.count, self.memos[2], self.shifts[2]
+            lo, byte_tables = self.tables[1]
         total = 0
-        for _, tm, pend in self.top:
-            got = memo.get(tm | pend << shift)
-            total += count(1, tm, pend) if got is None else got
-            if total > limit:
-                raise _over_budget(total, limit)
+        for member in self.walk:
+            _, sm, tm, avail = member
+            states = weights.get(sm)
+            if states is None:
+                states = fitting(sm)
+            term = 0
+            if closing:
+                for free, weight, _ in states:
+                    if not avail & free:
+                        term += weight
+            else:
+                # the pending targets and the memo lookup inlined: this loop
+                # runs once per state each member fits
+                for free, weight, _ in states:
+                    a = (avail & free) >> lo
+                    pend = 0
+                    for tab in byte_tables:
+                        pend |= tab[a & 255]
+                        a >>= 8
+                    got = memo.get(tm | pend << shift)
+                    if got is None:
+                        got = count(2, tm, pend)
+                    term += weight * got
+            if term:
+                total += term
+                if total > limit:
+                    raise _over_budget(total, limit)
+                if keep:
+                    keep(member)
         return total
 
     def facets(self, deadline: float):
-        """Yield the facets, walking the same views and pruning the groups
-        and members with no completion; call ``total`` first, which fills
-        the view, totals and memo of every state visited here."""
+        """Yield the facets: per kept member of index 1, per state it fits
+        with a completion, each of the state's fitting index-0 members with
+        each completion from layer 2 up.  Call ``total`` under a finite
+        limit first, which keeps the members and fills the view, totals and
+        memo of every state visited here."""
+        closing = self.last == 1
+        if not closing:
+            memo, shift = self.memos[2], self.shifts[2]
+            lo, byte_tables = self.tables[1]
+        # per mask, its ids; per index-1 source mask, the states it fits
+        # with the ids of their fitting members
+        ids: dict[int, tuple[int, ...]] = {}
+        fits: dict[int, list[tuple[int, list[tuple[int, ...]]]]] = {}
+        ids_of: dict[int, list[tuple[int, ...]]] = {}
+        for mask, sm, tm, avail in self.kept:
+            _check_deadline(deadline, "listing facets")
+            states = fits.get(sm)
+            if states is None:
+                states = fits[sm] = [
+                    (free, [_ids(m) for pend, masks in pends if not pend & ~sm for m in masks])
+                    for free, _, pends in self.weights[sm]]
+            head = _ids(mask)
+            for free, lows in states:
+                if closing:
+                    ups = [head] if not avail & free else []
+                else:
+                    pend = _union((avail & free) >> lo, byte_tables)
+                    if not memo[tm | pend << shift]:
+                        continue
+                    ups = list(self.completions(tm, pend, head, deadline, ids, ids_of))
+                for low in lows:
+                    for up in ups:
+                        yield low + up
+
+    def completions(self, blocked: int, need: int, prefix: tuple[int, ...], deadline: float,
+                    ids: dict[int, tuple[int, ...]], ids_of: dict[int, list[tuple[int, ...]]]):
+        """Yield ``prefix`` with each facet completion from layer 2 up in
+        state (blocked, need), walking the views ``total`` filled and
+        pruning the groups and members with no completion.  ``ids`` and
+        ``ids_of`` cache the ids of each member of a middle layer, and of
+        each last-layer list of closing members by (source mask, avail
+        sources)."""
         last, views, memos, shifts, tables = (
             self.last, self.views, self.memos, self.shifts, self.tables)
-        # the ids of each member of a middle layer, and of each last-layer
-        # list of closing members by (source mask, avail sources)
-        ids: dict[int, tuple[int, ...]] = {}
-        ids_of: dict[int, list[tuple[int, ...]]] = {}
         width = shifts[last]
-        for mask, tm, pend in self.top:
-            if not memos[1][tm | pend << shifts[1]]:
-                continue
-            stack = [(1, tm, pend, _ids(mask))]
-            while stack:
-                ki, blocked, need, prefix = stack.pop()
-                _check_deadline(deadline, "listing facets")
-                free, lists, totals = views[ki][blocked]
-                groups = lists[need & -need]
-                if ki == last:
-                    for sm, group in groups:
-                        if need & ~sm or not totals[sm]:
-                            continue
-                        for sources, masks in group:
-                            if not sources & ~blocked:
-                                key = sources | sm << width
-                                closers = ids_of.get(key)
-                                if closers is None:
-                                    closers = ids_of[key] = [_ids(m) for m in masks]
-                                for got in closers:
-                                    yield prefix + got
-                    continue
-                up = ki + 1
-                memo, shift = memos[up], shifts[up]
-                lo, byte_tables = tables[ki]
+        stack = [(2, blocked, need, prefix)]
+        while stack:
+            ki, blocked, need, prefix = stack.pop()
+            _check_deadline(deadline, "listing facets")
+            free, lists, totals = views[ki][blocked]
+            groups = lists[need & -need]
+            if ki == last:
                 for sm, group in groups:
                     if need & ~sm or not totals[sm]:
                         continue
-                    for mask, tm, avail in group:
-                        avail = (avail & free) >> lo
-                        pend = 0
-                        for tab in byte_tables:
-                            pend |= tab[avail & 255]
-                            avail >>= 8
-                        if memo[tm | pend << shift]:
-                            got = ids.get(mask)
-                            if got is None:
-                                got = ids[mask] = _ids(mask)
-                            stack.append((up, tm, pend, prefix + got))
+                    for sources, masks in group:
+                        if not sources & ~blocked:
+                            key = sources | sm << width
+                            closers = ids_of.get(key)
+                            if closers is None:
+                                closers = ids_of[key] = [_ids(m) for m in masks]
+                            for got in closers:
+                                yield prefix + got
+                continue
+            up = ki + 1
+            memo, shift = memos[up], shifts[up]
+            lo, byte_tables = tables[ki]
+            for sm, group in groups:
+                if need & ~sm or not totals[sm]:
+                    continue
+                for mask, _, tm, avail in group:
+                    avail = (avail & free) >> lo
+                    pend = 0
+                    for tab in byte_tables:
+                        pend |= tab[avail & 255]
+                        avail >>= 8
+                    if memo[tm | pend << shift]:
+                        got = ids.get(mask)
+                        if got is None:
+                            got = ids[mask] = _ids(mask)
+                        stack.append((up, tm, pend, prefix + got))
 
 
 def _byte_tables(block: range, bits: list[int]) -> list[list[int]]:
@@ -460,6 +568,16 @@ def _byte_tables(block: range, bits: list[int]) -> list[list[int]]:
             tab += [t | bits[c] for t in tab]
         tables.append(tab)
     return tables
+
+
+def _union(covers: int, tables: list[list[int]]) -> int:
+    """The union of the tables' bits over ``covers``, counted from the
+    tables' first cover."""
+    out = 0
+    for tab in tables:
+        out |= tab[covers & 255]
+        covers >>= 8
+    return out
 
 
 def _ids(mask: int) -> tuple[int, ...]:
@@ -754,13 +872,10 @@ class MorseComplex:
                 [cell_bit[t] for _, t in covers])
 
     def _layer_matchings(self, block: range, sbit: list[int], tbit: list[int],
-                         deadline: float, cap: int
-                         ) -> dict[int, list[tuple[int, int, int]]]:
-        """All acyclic matchings of a single layer, on the global pair masks,
-        grouped by source cell mask.
-
-        Returns {src mask: [(cover mask, tgt mask, avail), ...]}, where avail
-        is the extendable set of the matching: the covers of the block that
+                         deadline: float, cap: int):
+        """Yield the acyclic matchings of a single layer, on the global pair
+        masks, as (cover mask, src mask, tgt mask, avail), where avail is
+        the extendable set of the matching: the covers of the block that
         are not in it, share no cell with it and close no gradient cycle
         with it.  Each DFS node carries its avail.  Acyclic matchings form a
         simplicial complex, so a child's avail is the parent's less c, the
@@ -775,7 +890,6 @@ class MorseComplex:
         """
         conflict, arc, rev = self._conflict, self._arc, self._rev
         reach = self._reach
-        groups: dict[int, list[tuple[int, int, int]]] = {}
         full = (1 << block.stop) - (1 << block.start)
         stack = [(0, 0, 0, full, full)]
         steps = 0
@@ -787,10 +901,7 @@ class MorseComplex:
                 if steps > cap:
                     raise EnumerationBudgetError(
                         f"a single index layer has over {cap} matchings")
-            group = groups.get(sm)
-            if group is None:
-                group = groups[sm] = []
-            group.append((mask, tm, avail))
+            yield mask, sm, tm, avail
             f = cand
             while f:
                 b = f & -f
@@ -803,7 +914,6 @@ class MorseComplex:
                     bwd = reach(b, mask, rev)
                 child = avail & ~(b | conflict[c] | (fwd & bwd))
                 stack.append((mask | b, sm | sbit[c], tm | tbit[c], child & f, child))
-        return groups
 
     def _forest_matchings(self, block: range, deadline: float, cap: int,
                           limit: float) -> tuple[list[tuple[int, int]], int]:
@@ -917,12 +1027,15 @@ class MorseComplex:
 
         A graph or multigraph has one layer, and its facets are counted and
         listed straight off ``_forest_matchings``.  Any other complex goes
-        through ``_LayeredCount``, which adds up the facets one member of
-        the index-0 layer at a time; every term is non-negative, so the
-        running total can refuse at ``limit`` before the rest is counted.
+        through ``_LayeredCount``, which adds up the facets one matching of
+        the index-1 layer at a time, as that layer's walk yields them; every
+        term is non-negative, so the running total can refuse at ``limit``
+        before the rest of the walk is taken.
 
         ``lister(deadline)`` yields each facet once, as a sorted global
-        cover id tuple; called only after a count within ``limit``.
+        cover id tuple; called only after a count within a finite
+        ``limit``, under which the layered count keeps the index-1
+        matchings the lister walks.
         """
         deadline = budget.deadline()
         blocks, sbit, tbit = self._layers()
@@ -946,8 +1059,8 @@ class MorseComplex:
 
             return total, lister
         ranges = [blocks[k] for k in sorted(blocks)]
-        layers = [self._layer_matchings(block, sbit, tbit, deadline, cap) for block in ranges]
-        count = _LayeredCount(layers, ranges, sbit, tbit, deadline)
+        walks = [self._layer_matchings(block, sbit, tbit, deadline, cap) for block in ranges]
+        count = _LayeredCount(walks, ranges, sbit, tbit, deadline)
         return count.total(limit), count.facets
 
     def facet_count(self) -> int:

@@ -51,11 +51,19 @@ def stops(run, phase, limit=64):
 
 
 def test_facet_dp_deadline():
-    # D4's layer walks read the clock before the DP between layers does
-    seen = stops(lambda s: morse_complex(full_simplex("abcde"), Budget(max_seconds=s))
-                 .facet_count(), "counting facets")
-    assert seen[0] == "enumerating layer matchings"
-    assert set(seen[:-1]) == {"enumerating layer matchings"}
+    # the sum over D4's index-1 walk reads the clock, for the first member's
+    # weights, before the walk reaches its first check at step 4,096
+    assert stops(lambda s: morse_complex(full_simplex("abcde"), Budget(max_seconds=s))
+                 .facet_count(), "counting facets") == ["counting facets"]
+    # the walk alone, driven with a deadline already past, stops there
+    M = morse_complex(full_simplex("abcde"))
+    blocks, sbit, tbit = M._layers()
+    walked = 0
+    with pytest.raises(EnumerationBudgetError) as e:
+        for _ in M._layer_matchings(blocks[1], sbit, tbit, -1, 10 ** 7):
+            walked += 1
+    assert str(e.value) == PREFIX + "enumerating layer matchings"
+    assert walked == 4095
 
 
 def test_layered_lister_deadline():

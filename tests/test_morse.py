@@ -18,7 +18,7 @@ from morsecomplex.corpus import (boundary_simplex, complete_graph,
                                  full_simplex, graph_from_edges, path_graph,
                                  star_graph)
 from morsecomplex.errors import EnumerationBudgetError, MalformedInputError
-from morsecomplex.morse import _LayeredCount
+from morsecomplex.morse import MorseComplex, _LayeredCount
 from morsecomplex.verify import brute_force_morse_facets
 
 
@@ -312,15 +312,39 @@ def test_facet_budget_boundary():
 def test_facets_refused_before_the_count_ends():
     # the boundary of the 4-simplex and the paper's full 4-simplex: facets()
     # stops counting once the budget is passed, facet_count() stays exact;
-    # the lower bound reached depends on the order of the index-0 members
-    for K, n, reached in ((boundary_simplex("abcde"), 8_328_325, 1_007_458),
-                          (full_simplex("abcde"), 16_369_045, 1_014_295)):
+    # the lower bound reached depends on the order in which the index-1
+    # walk yields its matchings
+    for K, n, reached in ((boundary_simplex("abcde"), 8_328_325, 1_000_137),
+                          (full_simplex("abcde"), 16_369_045, 1_000_261)):
         M = morse_complex(K)
         with pytest.raises(EnumerationBudgetError) as err:
             M.facets()
         assert str(err.value) == (
             f"Morse complex has at least {reached} facets, over the budget of 1000000")
         assert M.facet_count() == n
+
+
+def test_refusals_stop_partway_through_the_index_1_walk(monkeypatch):
+    # bd4's and D4's refusals at the default budget walk fewer than a
+    # quarter of the 46,128 index-1 matchings; the count walks them all
+    walk = MorseComplex._layer_matchings
+    walked = {}
+
+    def counted(self, block, *args):
+        walked[block] = 0
+        for member in walk(self, block, *args):
+            walked[block] += 1
+            yield member
+
+    monkeypatch.setattr(MorseComplex, "_layer_matchings", counted)
+    for K in (boundary_simplex("abcde"), full_simplex("abcde")):
+        M = morse_complex(K)
+        index_1 = M._layers()[0][1]
+        with pytest.raises(EnumerationBudgetError):
+            M.facets()
+        assert 0 < walked[index_1] < 46_128 / 4
+        M.facet_count()
+        assert walked[index_1] == 46_128
 
 
 def test_facet_engine_keeps_no_state_after_return():
@@ -395,26 +419,24 @@ def check_extendable_sets(M):
     blocks, sbit, tbit = M._layers()
     for block in blocks.values():
         full = (1 << block.stop) - (1 << block.start)
-        groups = M._layer_matchings(block, sbit, tbit, float("inf"), 10 ** 7)
+        members = list(M._layer_matchings(block, sbit, tbit, float("inf"), 10 ** 7))
         seen = set()
-        for sm, members in groups.items():
-            for mask, tm, avail in members:
-                assert not mask & ~full and mask not in seen
-                seen.add(mask)
-                assert M._is_simplex_mask(mask)
-                ids = [c for c in block if (mask >> c) & 1]
-                assert sm == sum(sbit[c] for c in ids)
-                assert tm == sum(tbit[c] for c in ids)
-                expected = sum(1 << c for c in block
-                               if not (mask >> c) & 1 and not M._conflict[c] & mask
-                               and not M._creates_cycle(c, mask))
-                assert avail == expected
+        for mask, sm, tm, avail in members:
+            assert not mask & ~full and mask not in seen
+            seen.add(mask)
+            assert M._is_simplex_mask(mask)
+            ids = [c for c in block if (mask >> c) & 1]
+            assert sm == sum(sbit[c] for c in ids)
+            assert tm == sum(tbit[c] for c in ids)
+            expected = sum(1 << c for c in block
+                           if not (mask >> c) & 1 and not M._conflict[c] & mask
+                           and not M._creates_cycle(c, mask))
+            assert avail == expected
         assert 0 in seen
-        for members in groups.values():
-            for mask, _, avail in members:
-                for c in block:
-                    if (avail >> c) & 1 and c >= mask.bit_length():
-                        assert mask | 1 << c in seen
+        for mask, _, _, avail in members:
+            for c in block:
+                if (avail >> c) & 1 and c >= mask.bit_length():
+                    assert mask | 1 << c in seen
 
 
 def test_layer_extendable_sets_from_scratch():
@@ -449,9 +471,7 @@ def check_closing_members(M):
     listed = M.facets()
     assert all(list(ids) == sorted(ids) for ids in listed)
     assert {sum(1 << c for c in ids) for ids in listed} == stored
-    full = {mask
-            for members in M._layer_matchings(block, sbit, tbit, float("inf"), 10 ** 7).values()
-            for mask, _, _ in members}
+    full = {mask for mask, _, _, _ in M._layer_matchings(block, sbit, tbit, float("inf"), 10 ** 7)}
     maximal = {mask for mask in full
                if not any(not (mask >> c) & 1 and mask | 1 << c in full for c in block)}
     assert stored == maximal
@@ -467,28 +487,57 @@ def test_closing_layer_members_from_scratch():
 
 
 def check_closing_multiplicities(M, limit=math.inf):
-    """Every last-layer total and memoised state of the layered count,
-    against the last layer's members recounted one by one: a member closes
-    a facet iff each cover of its avail has its source in ``blocked``, and
-    fits a state iff its source mask contains ``need`` and misses
-    ``blocked``.  Returns the number of views checked."""
+    """The layered count's weights, last-layer totals and memoised states,
+    against the members recounted one by one.  An index-0 member fits an
+    index-1 source mask iff its target mask misses it and its pending
+    targets (the targets of its avail) lie within it.  In the last layer a
+    member closes a facet iff each cover of its avail has its source in
+    ``blocked``, and fits a state iff its source mask contains ``need`` and
+    misses ``blocked``; where index 1 is the last layer, that makes the
+    count the number of fitting pairs of an index-0 and an index-1 member
+    that close.  Returns the number of weights and views checked."""
     blocks, sbit, tbit = M._layers()
     ranges = [blocks[k] for k in sorted(blocks)]
-    layers = [M._layer_matchings(block, sbit, tbit, math.inf, 10 ** 7) for block in ranges]
-    # per source mask of the last layer, per member the source bit of each
-    # cover of its avail
-    sources = {sm: [[sbit[c] for c in ranges[-1] if (avail >> c) & 1] for _, _, avail in group]
-               for sm, group in layers[-1].items()}
-    count = _LayeredCount(layers, ranges, sbit, tbit, math.inf)
+    walks = [list(M._layer_matchings(block, sbit, tbit, math.inf, 10 ** 7)) for block in ranges]
+    count = _LayeredCount(walks, ranges, sbit, tbit, math.inf)
     try:
-        count.total(limit)
+        total = count.total(limit)
     except EnumerationBudgetError:
         assert limit < math.inf
+        total = None
     last = count.last
+
+    def cells(avail, block, bits):
+        return [bits[c] for c in block if (avail >> c) & 1]
+
+    # per index-0 member its target mask and pending targets, per target
+    # mask the covers of index 1 whose source it leaves free
+    index_0 = [(tm, sum(set(cells(avail, ranges[0], tbit)))) for _, _, tm, avail in walks[0]]
+    free = {tm: ~sum(1 << c for c in ranges[1] if sbit[c] & tm) for tm, _ in index_0}
+    for sm, states in count.weights.items():
+        got, expected = {}, {}
+        for f, weight, _ in states:
+            got[f] = got.get(f, 0) + weight
+        for tm, pend in index_0:
+            if not tm & sm and not pend & ~sm:
+                expected[free[tm]] = expected.get(free[tm], 0) + 1
+        assert got == expected
+    checked = len(count.weights)
+
+    # per source mask of the last layer, per member the source bit of each
+    # cover of its avail
+    sources = {}
+    for _, sm, _, avail in walks[-1]:
+        sources.setdefault(sm, []).append(cells(avail, ranges[-1], sbit))
 
     def closing(sm, blocked):
         return sum(1 for bits in sources[sm] if all(b & blocked for b in bits))
 
+    if last == 1:
+        if total is not None:
+            assert total == sum(closing(sm, tm) for tm, pend in index_0 for sm in sources
+                                if not tm & sm and not pend & ~sm)
+        return checked
     for blocked, (_, _, totals) in count.views[last].items():
         for sm, total in totals.items():
             assert total == closing(sm, blocked)
@@ -497,7 +546,7 @@ def check_closing_multiplicities(M, limit=math.inf):
         blocked, need = key & ((1 << shift) - 1), key >> shift
         assert total == sum(closing(sm, blocked) for sm in sources
                             if not need & ~sm and not sm & blocked)
-    return len(count.views[last])
+    return checked + len(count.views[last])
 
 
 def test_closing_multiplicities_recounted():

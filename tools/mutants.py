@@ -63,16 +63,35 @@ MUTANTS = (
     Mutant("circuit-drops-start-pair", "src/morsecomplex/morse.py",
            "out.append(_ids(mask))", "out.append(_ids(mask ^ 1 << s))",
            ("tests/test_morse.py::test_minimal_nonfaces_pinned_in_order",)),
-    Mutant("top-pending-read-as-zero", "src/morsecomplex/morse.py",
-           "top.append((mask, tm, pend))", "top.append((mask, tm, 0))",
+    Mutant("index-0-pending-read-as-zero", "src/morsecomplex/morse.py",
+           "        for mask, _, tm, avail in walks[0]:\n            avail >>= lo\n",
+           "        for mask, _, tm, avail in walks[0]:\n            avail = 0\n",
            ("tests/test_morse.py::test_facet_count_of_full_4_simplex",
             "tests/test_morse.py::test_facet_counts_and_listings_pinned")),
-    Mutant("top-sorted-by-cover-mask", "src/morsecomplex/morse.py",
-           "top.sort(key=lambda m: m[1])", "top.sort(key=lambda m: m[0])",
+    Mutant("fit-ignores-target-mask", "src/morsecomplex/morse.py",
+           "            if tm & sm:\n                continue\n", "",
+           ("tests/test_morse.py::test_closing_multiplicities_recounted",
+            "tests/test_morse.py::test_facet_count_of_full_4_simplex")),
+    Mutant("fit-weight-one-per-pending-set", "src/morsecomplex/morse.py",
+           "                    weight += len(masks)\n", "                    weight += 1\n",
+           ("tests/test_morse.py::test_closing_multiplicities_recounted",
+            "tests/test_morse.py::test_facet_count_of_full_4_simplex")),
+    Mutant("index-1-closing-inverted", "src/morsecomplex/morse.py",
+           "                    if not avail & free:\n                        term += weight\n",
+           "                    if avail & free:\n                        term += weight\n",
+           ("tests/test_morse.py::test_closing_multiplicities_recounted",
+            "tests/test_morse.py::test_facet_budget_boundary")),
+    Mutant("index-1-stream-reversed", "src/morsecomplex/morse.py",
+           "        for member in self.walk:\n",
+           "        for member in reversed(list(self.walk)):\n",
            ("tests/test_morse.py::test_facets_refused_before_the_count_ends",)),
+    Mutant("lister-keeps-no-member", "src/morsecomplex/morse.py",
+           "                if keep:\n                    keep(member)\n", "",
+           ("tests/test_morse.py::test_facet_budget_boundary",
+            "tests/test_morse.py::test_facet_counts_and_listings_pinned")),
     Mutant("layered-count-references-itself", "src/morsecomplex/morse.py",
-           "        self.memos: list[dict[int, int]] = [{} for _ in layers]\n",
-           "        self.memos: list[dict[int, int]] = [{} for _ in layers]\n"
+           "        self.memos: list[dict[int, int]] = [{} for _ in walks]\n",
+           "        self.memos: list[dict[int, int]] = [{} for _ in walks]\n"
            "        self.views.append(self)\n",
            ("tests/test_morse.py::test_facet_engine_keeps_no_state_after_return",)),
     Mutant("facets-kept-on-the-complex", "src/morsecomplex/morse.py",

@@ -2,7 +2,7 @@
 two hash seeds, and check that every run prints the same thing.
 
 The script writes its inputs (two relabelled complexes, two relabelled
-multigraphs and a graph) to a temporary directory.  It runs each command as
+multigraphs, a graph and a tetrahedron) to a temporary directory.  It runs each command as
 ``<python> -m morsecomplex.cli ...`` with ``src/`` on PYTHONPATH, under every
 interpreter named on its command line (default: the one running the script),
 once with PYTHONHASHSEED 0 and once with 1.  It exits 1 when any run's exit
@@ -30,11 +30,14 @@ INPUTS = {
     "g.mg": "edge e1 u v\nedge e2 u v\nedge e3 v w\nedge e4 w x\nedge e5 x u\nedge e6 x u\n",
     "h.mg": "edge f1 d a\nedge f2 a b\nedge f3 b c\nedge f4 c d\nedge f5 a b\nedge f6 d a\n",
     "graph.cx": "a b\nb c\nc d\nd a\na c\nd e\n",
+    # three layers: its facets are listed through the layered count
+    "tetra.cx": "a b c d\n",
 }
 
 COMMANDS = (
     ("build", "k.cx"),
     ("build", "g.mg"),
+    ("build", "tetra.cx"),
     ("reconstruct", "k.cx", "l.cx"),
     ("reconstruct", "g.mg", "h.mg"),
     ("iso", "k.cx", "l.cx"),
