@@ -233,8 +233,8 @@ class _LayeredCount:
     cell with the matching, so that depends on the matching's avail alone,
     and whether a matching fits a state (blocked, need) depends on its
     source mask alone.  In the last layer nothing lies above, so a matching
-    closes a facet iff the source cells of its avail lie within
-    ``blocked``.
+    closes a facet iff its avail misses the covers free there, those whose
+    source is not in ``blocked``.
 
     The index-0 layer has no layer below, so its whole avail is free: its
     members are folded once into states, one per target mask, each holding
@@ -258,9 +258,8 @@ class _LayeredCount:
     completions through its members.  Index and lists are filled when a
     state first asks for them.  A total depends on (layer, blocked, source
     mask) alone and is filled in when a state first selects the group: in
-    the last layer, where each source group keeps its members by the source
-    cells of their avail, as the members whose sources lie within
-    ``blocked``; below it as the sum of the members' states one layer up.
+    the last layer as the number of members whose avail misses the view's
+    free covers; below it as the sum of the members' states one layer up.
     A state's count, the sum of the totals of the groups whose source mask
     contains ``need``, is memoised per layer under the int ``blocked | need
     << width``.  The pending targets of a member, the targets of its free
@@ -297,47 +296,19 @@ class _LayeredCount:
         lo, byte_tables = self.tables[0]
         folded: dict[int, dict[int, list[int]]] = {}
         for mask, _, tm, avail in walks[0]:
-            avail >>= lo
-            pend = 0
-            for tab in byte_tables:
-                pend |= tab[avail & 255]
-                avail >>= 8
-            pends = folded.get(tm)
-            if pends is None:
-                folded[tm] = {pend: [mask]}
-            elif pend in pends:
-                pends[pend].append(mask)
-            else:
-                pends[pend] = [mask]
+            pend = _union(avail >> lo, byte_tables)
+            folded.setdefault(tm, {}).setdefault(pend, []).append(mask)
         self.states = [(tm, self.free(1, tm), list(pends.items()))
                        for tm, pends in folded.items()]
         self.weights: dict[int, list[tuple[int, int, list]]] = {}
         self.walk = walks[1]
         self.kept: list[tuple[int, int, int, int]] = []
-        # layers 2 and up by source mask, the last one's members by the
-        # source cells of their avail (index 0 and 1 are left empty)
+        # layers 2 and up by source mask (index 0 and 1 are left empty)
         self.layers: list[dict[int, list]] = [{} for _ in walks]
         for ki in range(2, last + 1):
             groups = self.layers[ki]
             for member in walks[ki]:
-                group = groups.get(member[1])
-                if group is None:
-                    groups[member[1]] = [member]
-                else:
-                    group.append(member)
-        if last > 1:
-            lo, source_tables = blocks[last].start, _byte_tables(blocks[last], sbit)
-            closing = self.layers[last]
-            for sm, members in closing.items():
-                by_sources: dict[int, list[int]] = {}
-                for mask, _, _, avail in members:
-                    sources = _union(avail >> lo, source_tables)
-                    group = by_sources.get(sources)
-                    if group is None:
-                        by_sources[sources] = [mask]
-                    else:
-                        group.append(mask)
-                closing[sm] = list(by_sources.items())
+                groups.setdefault(member[1], []).append(member)
         # per layer from 2, its groups under each bit of their source mask
         # (all of them under 0), filled as states ask
         self.by_bit: list[dict[int, list[tuple[int, list]]]] = [{} for _ in walks]
@@ -378,7 +349,7 @@ class _LayeredCount:
         disjoint from ``blocked``, the view's totals by source mask)."""
         view = self.views[ki].get(blocked)
         if view is None:
-            free = self.free(ki, blocked) if ki < self.last else -1
+            free = self.free(ki, blocked)
             view = self.views[ki][blocked] = (free, {}, {})
         free, lists, totals = view
         low = need & -need
@@ -408,9 +379,9 @@ class _LayeredCount:
             if group_total is None:
                 group_total = 0
                 if ki == self.last:
-                    for sources, masks in group:
-                        if not sources & ~blocked:
-                            group_total += len(masks)
+                    for _, _, _, avail in group:
+                        if not avail & free:
+                            group_total += 1
                 else:
                     # the pending targets and the memo lookup inlined: this
                     # loop runs once per member of every selected group
@@ -488,7 +459,6 @@ class _LayeredCount:
         # with the ids of their fitting members
         ids: dict[int, tuple[int, ...]] = {}
         fits: dict[int, list[tuple[int, list[tuple[int, ...]]]]] = {}
-        ids_of: dict[int, list[tuple[int, ...]]] = {}
         for mask, sm, tm, avail in self.kept:
             _check_deadline(deadline, "listing facets")
             states = fits.get(sm)
@@ -504,22 +474,19 @@ class _LayeredCount:
                     pend = _union((avail & free) >> lo, byte_tables)
                     if not memo[tm | pend << shift]:
                         continue
-                    ups = list(self.completions(tm, pend, head, deadline, ids, ids_of))
+                    ups = list(self.completions(tm, pend, head, deadline, ids))
                 for low in lows:
                     for up in ups:
                         yield low + up
 
     def completions(self, blocked: int, need: int, prefix: tuple[int, ...], deadline: float,
-                    ids: dict[int, tuple[int, ...]], ids_of: dict[int, list[tuple[int, ...]]]):
+                    ids: dict[int, tuple[int, ...]]):
         """Yield ``prefix`` with each facet completion from layer 2 up in
         state (blocked, need), walking the views ``total`` filled and
-        pruning the groups and members with no completion.  ``ids`` and
-        ``ids_of`` cache the ids of each member of a middle layer, and of
-        each last-layer list of closing members by (source mask, avail
-        sources)."""
+        pruning the groups and members with no completion.  ``ids`` caches
+        the ids of each member's cover mask."""
         last, views, memos, shifts, tables = (
             self.last, self.views, self.memos, self.shifts, self.tables)
-        width = shifts[last]
         stack = [(2, blocked, need, prefix)]
         while stack:
             ki, blocked, need, prefix = stack.pop()
@@ -530,14 +497,12 @@ class _LayeredCount:
                 for sm, group in groups:
                     if need & ~sm or not totals[sm]:
                         continue
-                    for sources, masks in group:
-                        if not sources & ~blocked:
-                            key = sources | sm << width
-                            closers = ids_of.get(key)
-                            if closers is None:
-                                closers = ids_of[key] = [_ids(m) for m in masks]
-                            for got in closers:
-                                yield prefix + got
+                    for mask, _, _, avail in group:
+                        if not avail & free:
+                            got = ids.get(mask)
+                            if got is None:
+                                got = ids[mask] = _ids(mask)
+                            yield prefix + got
                 continue
             up = ki + 1
             memo, shift = memos[up], shifts[up]
@@ -613,23 +578,18 @@ class MorseComplex:
 
         covers = self.hasse.covers
         cells = self.hasse.cells
-        conflict = [0] * n
         arc = [0] * n
         rev = [0] * n
         children = self.hasse.children
         src_of = [c[0] for c in covers]
         tgt_of = [c[1] for c in covers]
         by_source: dict[int, list[int]] = {}
-        by_cell: dict[int, list[int]] = {}
+        at_cell = [0] * len(cells)  # per cell, the covers that use it
         for i in range(n):
             by_source.setdefault(src_of[i], []).append(i)
-            by_cell.setdefault(src_of[i], []).append(i)
-            by_cell.setdefault(tgt_of[i], []).append(i)
-        for members in by_cell.values():
-            for i in members:
-                for j in members:
-                    if i != j:
-                        conflict[i] |= 1 << j
+            at_cell[src_of[i]] |= 1 << i
+            at_cell[tgt_of[i]] |= 1 << i
+        conflict = [(at_cell[src_of[i]] | at_cell[tgt_of[i]]) & ~(1 << i) for i in range(n)]
         for i in range(n):
             for child in children.get(tgt_of[i], ()):
                 if child != src_of[i]:

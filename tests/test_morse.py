@@ -554,9 +554,10 @@ def test_closing_multiplicities_recounted():
     assert len(layered) == 9
     for K in layered + [boundary_simplex("abcd"), full_simplex("abcd")]:
         assert check_closing_multiplicities(morse_complex(K)) > 0
-    # the views that bd4's refusal at the default budget reaches
-    assert check_closing_multiplicities(morse_complex(boundary_simplex("abcde")),
-                                        limit=1_000_000) > 0
+    # the views that bd4's and D4's refusals at the default budget reach;
+    # D4's last layer, index 3, is the only one here above a layer of index 2
+    for K in (boundary_simplex("abcde"), full_simplex("abcde")):
+        assert check_closing_multiplicities(morse_complex(K), limit=1_000_000) > 0
 
 
 def test_closing_walk_time_budget_error():

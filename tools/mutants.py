@@ -50,12 +50,23 @@ MUTANTS = (
            ("tests/test_morse.py::test_facet_count_of_complete_graphs_is_cayley",
             "tests/test_morse.py::test_oracle_equivalence_complexes")),
     Mutant("closing-multiplicity-inverted", "src/morsecomplex/morse.py",
-           "                        if not sources & ~blocked:\n"
-           "                            group_total += len(masks)\n",
-           "                        if sources & ~blocked:\n"
-           "                            group_total += len(masks)\n",
+           "                        if not avail & free:\n"
+           "                            group_total += 1\n",
+           "                        if avail & free:\n"
+           "                            group_total += 1\n",
            ("tests/test_morse.py::test_closing_multiplicities_recounted",
-            "tests/test_morse.py::test_facet_budget_boundary")),
+            "tests/test_morse.py::test_facet_count_of_full_4_simplex")),
+    Mutant("last-layer-view-all-free", "src/morsecomplex/morse.py",
+           "            free = self.free(ki, blocked)\n",
+           "            free = self.free(ki, blocked) if ki < self.last else -1\n",
+           ("tests/test_morse.py::test_closing_multiplicities_recounted",)),
+    Mutant("lister-last-layer-closure-inverted", "src/morsecomplex/morse.py",
+           "                        if not avail & free:\n"
+           "                            got = ids.get(mask)\n",
+           "                        if avail & free:\n"
+           "                            got = ids.get(mask)\n",
+           ("tests/test_morse.py::test_facet_budget_boundary",
+            "tests/test_morse.py::test_facet_counts_and_listings_pinned")),
     Mutant("layer-walk-no-backward-closure", "src/morsecomplex/morse.py",
            "                if bwd & mask:\n                    bwd = reach(b, mask, rev)\n",
            "",
@@ -64,8 +75,8 @@ MUTANTS = (
            "out.append(_ids(mask))", "out.append(_ids(mask ^ 1 << s))",
            ("tests/test_morse.py::test_minimal_nonfaces_pinned_in_order",)),
     Mutant("index-0-pending-read-as-zero", "src/morsecomplex/morse.py",
-           "        for mask, _, tm, avail in walks[0]:\n            avail >>= lo\n",
-           "        for mask, _, tm, avail in walks[0]:\n            avail = 0\n",
+           "            pend = _union(avail >> lo, byte_tables)\n",
+           "            pend = 0\n",
            ("tests/test_morse.py::test_facet_count_of_full_4_simplex",
             "tests/test_morse.py::test_facet_counts_and_listings_pinned")),
     Mutant("fit-ignores-target-mask", "src/morsecomplex/morse.py",
@@ -98,6 +109,10 @@ MUTANTS = (
            "        return tuple(facets)\n",
            "        self._facets = tuple(facets)\n        return self._facets\n",
            ("tests/test_morse.py::test_morse_complex_keeps_no_listing",)),
+    Mutant("conflict-ignores-target-cell", "src/morsecomplex/morse.py",
+           "(at_cell[src_of[i]] | at_cell[tgt_of[i]])", "(at_cell[src_of[i]])",
+           ("tests/test_cross_validation.py"
+            "::test_compatibility_adjacency_matches_standalone_predicate",)),
     Mutant("is-matching-always", "src/morsecomplex/morse.py",
            "    return len(used) == count\n", "    return True\n",
            ("tests/test_morse.py::test_is_matching",

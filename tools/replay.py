@@ -2,12 +2,14 @@
 two hash seeds, and check that every run prints the same thing.
 
 The script writes its inputs (two relabelled complexes, two relabelled
-multigraphs, a graph and a tetrahedron) to a temporary directory.  It runs each command as
+multigraphs, a graph, a tetrahedron, and the full 4-simplex and its boundary)
+to a temporary directory.  It runs each command as
 ``<python> -m morsecomplex.cli ...`` with ``src/`` on PYTHONPATH, under every
 interpreter named on its command line (default: the one running the script),
 once with PYTHONHASHSEED 0 and once with 1.  It exits 1 when any run's exit
-code or stdout differs from the first run of the same command.  It uses the
-standard library only, so it runs under interpreters that have no pytest.
+code, stdout or stderr differs from the first run of the same command.  It
+uses the standard library only, so it runs under interpreters that have no
+pytest.
 
 Run from anywhere:  python tools/replay.py [PYTHON ...]
 """
@@ -32,12 +34,18 @@ INPUTS = {
     "graph.cx": "a b\nb c\nc d\nd a\na c\nd e\n",
     # three layers: its facets are listed through the layered count
     "tetra.cx": "a b c d\n",
+    # refused with exit 2: the "at least N facets" line on stderr depends on
+    # the order in which the index-1 walk yields its matchings
+    "d4.cx": "a b c d e\n",
+    "bd4.cx": "a b c d\na b c e\na b d e\na c d e\nb c d e\n",
 }
 
 COMMANDS = (
     ("build", "k.cx"),
     ("build", "g.mg"),
     ("build", "tetra.cx"),
+    ("build", "d4.cx"),
+    ("build", "bd4.cx"),
     ("reconstruct", "k.cx", "l.cx"),
     ("reconstruct", "g.mg", "h.mg"),
     ("iso", "k.cx", "l.cx"),
@@ -50,13 +58,13 @@ COMMANDS = (
 HASH_SEEDS = ("0", "1")
 
 
-def _run(python: str, argv, cwd: str, hash_seed: str) -> tuple[int, str]:
+def _run(python: str, argv, cwd: str, hash_seed: str) -> tuple[int, str, str]:
     env = {k: v for k, v in os.environ.items() if k != "MORSE_BUDGET_SECONDS"}
     env.update(PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=hash_seed,
                PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run([python, "-m", "morsecomplex.cli", *argv], cwd=cwd, env=env,
-                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
-    return done.returncode, done.stdout
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    return done.returncode, done.stdout, done.stderr
 
 
 def main(pythons) -> int:
