@@ -21,7 +21,7 @@ from .errors import (EnumerationBudgetError, HypothesisViolationError,
                      InvalidIsomorphismError, MalformedInputError,
                      NotAFaceError, ParseError, TheoremContradictionError)
 from .forests import forest_identity_holds
-from .formats import serialize_morse_complex, sniff_and_parse
+from .formats import morse_complex_chunks, sniff_and_parse
 from .invariants import invariants
 from .isomorphism import find_isomorphism, find_multigraph_isomorphism
 from .morse import morse_complex
@@ -99,7 +99,8 @@ def cmd_build(args) -> int:
     obj = _load(args.file)
     _guard_size(obj, args)
     M = morse_complex(obj, _budget(args))
-    sys.stdout.write(serialize_morse_complex(M))
+    for chunk in morse_complex_chunks(M):
+        sys.stdout.write(chunk)
     return EXIT_OK
 
 

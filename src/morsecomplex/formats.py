@@ -8,11 +8,14 @@ serialization is byte-stable: equal objects produce identical files.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Iterator, Union
 
 from .complexes import Multigraph, SimplicialComplex
 from .errors import ParseError
 from .morse import MorseComplex
+
+# the most lines of one piece of a Morse complex file
+CHUNK_LINES = 4096
 
 
 def _content_lines(text: str):
@@ -94,12 +97,25 @@ def pair_table_lines(M: MorseComplex) -> list[str]:
     return out
 
 
-def serialize_morse_complex(M: MorseComplex) -> str:
+def morse_complex_chunks(M: MorseComplex) -> Iterator[str]:
     """The Morse complex as a complex file over pair ids, with the pair table
-    riding in trailing comments (so the output stays a valid complex file)."""
+    riding in trailing comments (so the output stays a valid complex file),
+    in pieces of at most ``CHUNK_LINES`` lines: the facets, then the pair
+    table.  The whole listing and the pair table are taken before the first
+    piece is yielded, so every check (the count, the budget, the deadline,
+    the length of the listing against the count) has passed by then."""
     # the facets are sorted index tuples and the pair ids share one width,
     # so their names come out in the same order
     ids = M.pair_ids
-    lines = [" ".join([ids[i] for i in f]) + "\n" for f in M.facets()]
-    lines.extend(f"# {row}\n" for row in pair_table_lines(M))
-    return "".join(lines)
+    facets = M.facets()
+    rows = pair_table_lines(M)
+    for lo in range(0, len(facets), CHUNK_LINES):
+        yield "".join([" ".join([ids[i] for i in f]) + "\n"
+                       for f in facets[lo:lo + CHUNK_LINES]])
+    for lo in range(0, len(rows), CHUNK_LINES):
+        yield "".join([f"# {row}\n" for row in rows[lo:lo + CHUNK_LINES]])
+
+
+def serialize_morse_complex(M: MorseComplex) -> str:
+    """The text ``morse_complex_chunks`` yields, as one string."""
+    return "".join(morse_complex_chunks(M))

@@ -33,8 +33,8 @@ its facets are the maximal rooted forests (Chari & Joswig, Discrete Math.
 302, 2005).  There a separate walk tracks each vertex's root instead of
 walking gradient paths, keeps only the matchings that close a facet and cuts
 every branch that cannot reach one, so it costs about the facets, not the
-faces.  It records a node's closing covers as one bitmask, so a count builds
-no tuple per facet; the listing expands them.
+faces.  Only a listing keeps records: a node's closing covers as one
+bitmask, which the listing expands; a count keeps none.
 
 The engine's state lives in locals and in objects that refer to no cycle,
 so it is freed by reference counting as soon as the call returns.
@@ -293,11 +293,23 @@ class _LayeredCount:
                 self.shifts.append(cells.bit_length())
         # the index-0 members folded into states: per target mask, the
         # covers of index 1 free there and its members by pending targets
+        # (pending targets inlined, and no empty dict or list built per
+        # member: this loop runs once per index-0 matching)
         lo, byte_tables = self.tables[0]
         folded: dict[int, dict[int, list[int]]] = {}
         for mask, _, tm, avail in walks[0]:
-            pend = _union(avail >> lo, byte_tables)
-            folded.setdefault(tm, {}).setdefault(pend, []).append(mask)
+            avail >>= lo
+            pend = 0
+            for tab in byte_tables:
+                pend |= tab[avail & 255]
+                avail >>= 8
+            pends = folded.get(tm)
+            if pends is None:
+                folded[tm] = {pend: [mask]}
+            elif pend in pends:
+                pends[pend].append(mask)
+            else:
+                pends[pend] = [mask]
         self.states = [(tm, self.free(1, tm), list(pends.items()))
                        for tm, pends in folded.items()]
         self.weights: dict[int, list[tuple[int, int, list]]] = {}
@@ -886,7 +898,8 @@ class MorseComplex:
         facets ``mask | b``, one per bit b of ``leaves``: a node of the walk
         with covers ``mask`` and the candidates whose addition closes a
         facet.  ``count`` is the sum of the popcounts of the leaves, the
-        number of facets.
+        number of facets.  Records are kept for a listing, so only under a
+        finite ``limit``; a count to the end keeps none.
 
         At index 0 a gradient arc runs from (v, e) to every cover from the
         other end w of e, so an acyclic matching is a forest of rooted
@@ -906,9 +919,9 @@ class MorseComplex:
         first that leaves one, or else the fewest), and is cut when a u that
         is no candidate leaves none.  Branch i excludes the branches before
         it, so each facet is found once.  The walk stops with
-        EnumerationBudgetError once the count passes ``limit``, or once over
-        ``cap`` facets are stored (a memory guard, checked every 4,096
-        nodes).
+        EnumerationBudgetError once the count passes ``limit``, or once its
+        records hold over ``cap`` facets (a memory guard, checked every
+        4,096 nodes).
         """
         conflict = self._conflict
         covers, children = self.hasse.covers, self.hasse.children
@@ -929,6 +942,7 @@ class MorseComplex:
             out[s] |= 1 << c
             into0[w] |= 1 << c
         records = []
+        keep = records.append if limit < math.inf else None
         full = (1 << block.stop) - (1 << block.start)
         # a node: its cover mask, candidates, avail, and the roots and
         # per-root ``into``; every node on the stack has candidates
@@ -939,7 +953,7 @@ class MorseComplex:
             steps += 1
             if steps % 4096 == 0:
                 _check_deadline(deadline, "enumerating layer matchings")
-                if stored > cap:
+                if keep and stored > cap:
                     raise EnumerationBudgetError(
                         f"a single index layer has over {cap} matchings")
             # the pivot: a cover of the avail with few candidates that rule
@@ -975,10 +989,11 @@ class MorseComplex:
                 elif not child:
                     leaves |= b
             if leaves:
-                records.append((mask, leaves))
                 stored += leaves.bit_count()
                 if stored > limit:
                     raise _over_budget(stored, limit)
+                if keep:
+                    keep((mask, leaves))
         return records, stored
 
     def _facet_engine(self, budget: Budget, limit: float = math.inf):
@@ -994,8 +1009,9 @@ class MorseComplex:
 
         ``lister(deadline)`` yields each facet once, as a sorted global
         cover id tuple; called only after a count within a finite
-        ``limit``, under which the layered count keeps the index-1
-        matchings the lister walks.
+        ``limit``, the only one under which either engine keeps what the
+        lister walks: the graph walk its records, the layered count its
+        index-1 matchings.
         """
         deadline = budget.deadline()
         blocks, sbit, tbit = self._layers()
@@ -1027,8 +1043,7 @@ class MorseComplex:
         """Exact number of facets (maximal acyclic matchings), counted to the
         end: time-guarded but not bounded by the facet budget, since
         counting lists nothing.  A graph's count is the sum of the popcounts
-        of its walk's leaf masks; the walk keeps at most 10 times the budget
-        (and at least a million) facets in its records."""
+        of its walk's leaf masks, and keeps no records."""
         if self.n_pairs == 0:
             return 0
         total, _ = self._facet_engine(self.budget)

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -11,7 +12,7 @@ from morsecomplex.cli import main
 from morsecomplex.complexes import Multigraph
 from morsecomplex.corpus import (complete_graph, connected_multigraphs, cycle_graph,
                                  permuted_copy, star_graph)
-from morsecomplex.formats import serialize_complex
+from morsecomplex.formats import CHUNK_LINES, serialize_complex
 from morsecomplex.reconstruction import simplify
 
 
@@ -52,6 +53,23 @@ def test_build_budget_exit(tmp_path, capsys):
                          "--budget-facets", "1000000")
     assert code == 2
     assert "budget" in err
+
+
+def test_build_writes_in_chunks(tmp_path, monkeypatch):
+    # K7's 117,649 facet lines and 42 pair rows reach stdout in several
+    # writes of at most CHUNK_LINES lines each, not as one string
+    f = write(tmp_path, "k7.cx", serialize_complex(complete_graph(7)))
+    writes = []
+
+    class Stdout:
+        def write(self, text):
+            writes.append(text.count("\n"))
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert main(["build", f]) == 0
+    assert len(writes) > 1 and max(writes) <= CHUNK_LINES
+    assert sum(writes) == 117_649 + 42
 
 
 def test_reconstruct_search_budget_exit(tmp_path, capsys):

@@ -387,7 +387,8 @@ def test_graph_facet_listing_time_budget_error():
     with pytest.raises(EnumerationBudgetError):
         M.facets()
     # the lister itself checks its deadline at least every 4,096 facets
-    total, lister = morse_complex(complete_graph(7))._facet_engine(Budget())
+    budget = Budget()
+    total, lister = morse_complex(complete_graph(7))._facet_engine(budget, budget.max_facets)
     assert total == 117_649
     listed = 0
     with pytest.raises(EnumerationBudgetError, match="listing facets"):
@@ -445,16 +446,19 @@ def test_layer_extendable_sets_from_scratch():
 
 
 def check_closing_members(M):
-    """The only layer of a graph, as the walk's records, against a
-    recomputation from scratch and the full enumeration: every facet a
-    record stands for is an acyclic matching to which no cover of the layer
-    can be added, none repeats, the count is their number, the listing gives
-    each as its sorted cover ids, and the set is exactly the maximal members
-    of the full enumeration, found by containment."""
+    """The only layer of a graph, as the walk's records under a finite
+    limit (a count to the end keeps none), against a recomputation from
+    scratch and the full enumeration: every facet a record stands for is an
+    acyclic matching to which no cover of the layer can be added, none
+    repeats, the count is their number, the listing gives each as its sorted
+    cover ids, and the set is exactly the maximal members of the full
+    enumeration, found by containment."""
     blocks, sbit, tbit = M._layers()
     assert list(blocks) == [0]
     block = blocks[0]
-    records, count = M._forest_matchings(block, float("inf"), 10 ** 7, math.inf)
+    records, count = M._forest_matchings(block, float("inf"), 10 ** 7, 10 ** 6)
+    # a count to the end keeps no records
+    assert M._forest_matchings(block, float("inf"), 10 ** 7, math.inf) == ([], count)
     stored = set()
     for mask, leaves in records:
         assert leaves and not leaves & mask

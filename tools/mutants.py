@@ -75,8 +75,9 @@ MUTANTS = (
            "out.append(_ids(mask))", "out.append(_ids(mask ^ 1 << s))",
            ("tests/test_morse.py::test_minimal_nonfaces_pinned_in_order",)),
     Mutant("index-0-pending-read-as-zero", "src/morsecomplex/morse.py",
-           "            pend = _union(avail >> lo, byte_tables)\n",
-           "            pend = 0\n",
+           "                pend |= tab[avail & 255]\n                avail >>= 8\n"
+           "            pends = folded.get(tm)\n",
+           "                avail >>= 8\n            pends = folded.get(tm)\n",
            ("tests/test_morse.py::test_facet_count_of_full_4_simplex",
             "tests/test_morse.py::test_facet_counts_and_listings_pinned")),
     Mutant("fit-ignores-target-mask", "src/morsecomplex/morse.py",
@@ -100,6 +101,14 @@ MUTANTS = (
            "                if keep:\n                    keep(member)\n", "",
            ("tests/test_morse.py::test_facet_budget_boundary",
             "tests/test_morse.py::test_facet_counts_and_listings_pinned")),
+    Mutant("graph-records-kept-for-a-count", "src/morsecomplex/morse.py",
+           "        keep = records.append if limit < math.inf else None\n",
+           "        keep = records.append\n",
+           ("tests/test_morse.py::test_closing_layer_members_from_scratch",)),
+    Mutant("build-written-as-one-string", "src/morsecomplex/cli.py",
+           "    for chunk in morse_complex_chunks(M):\n        sys.stdout.write(chunk)\n",
+           "    sys.stdout.write(\"\".join(morse_complex_chunks(M)))\n",
+           ("tests/test_cli.py::test_build_writes_in_chunks",)),
     Mutant("layered-count-references-itself", "src/morsecomplex/morse.py",
            "        self.memos: list[dict[int, int]] = [{} for _ in walks]\n",
            "        self.memos: list[dict[int, int]] = [{} for _ in walks]\n"

@@ -2,8 +2,8 @@
 two hash seeds, and check that every run prints the same thing.
 
 The script writes its inputs (two relabelled complexes, two relabelled
-multigraphs, a graph, a tetrahedron, and the full 4-simplex and its boundary)
-to a temporary directory.  It runs each command as
+multigraphs, a graph, a tetrahedron, the full 4-simplex and its boundary, and
+the complete graph K7) to a temporary directory.  It runs each command as
 ``<python> -m morsecomplex.cli ...`` with ``src/`` on PYTHONPATH, under every
 interpreter named on its command line (default: the one running the script),
 once with PYTHONHASHSEED 0 and once with 1.  It exits 1 when any run's exit
@@ -20,6 +20,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import combinations
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,6 +39,8 @@ INPUTS = {
     # the order in which the index-1 walk yields its matchings
     "d4.cx": "a b c d e\n",
     "bd4.cx": "a b c d\na b c e\na b d e\na c d e\nb c d e\n",
+    # 117,649 facets: build writes them in several chunks
+    "k7.cx": "".join(f"v{i} v{j}\n" for i, j in combinations(range(7), 2)),
 }
 
 COMMANDS = (
@@ -46,6 +49,7 @@ COMMANDS = (
     ("build", "tetra.cx"),
     ("build", "d4.cx"),
     ("build", "bd4.cx"),
+    ("build", "k7.cx"),
     ("reconstruct", "k.cx", "l.cx"),
     ("reconstruct", "g.mg", "h.mg"),
     ("iso", "k.cx", "l.cx"),
@@ -82,7 +86,7 @@ def main(pythons) -> int:
             same = all(run == runs[0] for run in runs)
             differ += not same
             lines = runs[0][1].count("\n")
-            print(f"{'same' if same else 'DIFFERS':<8} exit {runs[0][0]}, {lines:>3} lines  "
+            print(f"{'same' if same else 'DIFFERS':<8} exit {runs[0][0]}, {lines:>6} lines  "
                   f"morsecx {' '.join(argv)}")
     runs = len(pythons) * len(HASH_SEEDS)
     print(f"{len(COMMANDS) - differ}/{len(COMMANDS)} commands identical over {runs} runs each")
