@@ -114,8 +114,3 @@ def morse_complex_chunks(M: MorseComplex) -> Iterator[str]:
                        for f in facets[lo:lo + CHUNK_LINES]])
     for lo in range(0, len(rows), CHUNK_LINES):
         yield "".join([f"# {row}\n" for row in rows[lo:lo + CHUNK_LINES]])
-
-
-def serialize_morse_complex(M: MorseComplex) -> str:
-    """The text ``morse_complex_chunks`` yields, as one string."""
-    return "".join(morse_complex_chunks(M))

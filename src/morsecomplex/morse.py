@@ -457,13 +457,13 @@ class _LayeredCount:
                     keep(member)
         return total
 
-    def facets(self, deadline: float):
+    def facets(self):
         """Yield the facets: per kept member of index 1, per state it fits
         with a completion, each of the state's fitting index-0 members with
         each completion from layer 2 up.  Call ``total`` under a finite
         limit first, which keeps the members and fills the view, totals and
-        memo of every state visited here."""
-        closing = self.last == 1
+        memo of every state visited here; it checks the count's deadline."""
+        deadline, closing = self.deadline, self.last == 1
         if not closing:
             memo, shift = self.memos[2], self.shifts[2]
             lo, byte_tables = self.tables[1]
@@ -486,19 +486,19 @@ class _LayeredCount:
                     pend = _union((avail & free) >> lo, byte_tables)
                     if not memo[tm | pend << shift]:
                         continue
-                    ups = list(self.completions(tm, pend, head, deadline, ids))
+                    ups = list(self.completions(tm, pend, head, ids))
                 for low in lows:
                     for up in ups:
                         yield low + up
 
-    def completions(self, blocked: int, need: int, prefix: tuple[int, ...], deadline: float,
+    def completions(self, blocked: int, need: int, prefix: tuple[int, ...],
                     ids: dict[int, tuple[int, ...]]):
         """Yield ``prefix`` with each facet completion from layer 2 up in
         state (blocked, need), walking the views ``total`` filled and
         pruning the groups and members with no completion.  ``ids`` caches
         the ids of each member's cover mask."""
-        last, views, memos, shifts, tables = (
-            self.last, self.views, self.memos, self.shifts, self.tables)
+        last, views, memos, shifts, tables, deadline = (
+            self.last, self.views, self.memos, self.shifts, self.tables, self.deadline)
         stack = [(2, blocked, need, prefix)]
         while stack:
             ki, blocked, need, prefix = stack.pop()
@@ -887,7 +887,7 @@ class MorseComplex:
                 child = avail & ~(b | conflict[c] | (fwd & bwd))
                 stack.append((mask | b, sm | sbit[c], tm | tbit[c], child & f, child))
 
-    def _forest_matchings(self, block: range, deadline: float, cap: int,
+    def _forest_matchings(self, block: range, deadline: float,
                           limit: float) -> tuple[list[tuple[int, int]], int]:
         """The facets of a complex whose only layer is the index-0 one (a
         graph or multigraph): its acyclic matchings that no cover of the
@@ -899,7 +899,7 @@ class MorseComplex:
         with covers ``mask`` and the candidates whose addition closes a
         facet.  ``count`` is the sum of the popcounts of the leaves, the
         number of facets.  Records are kept for a listing, so only under a
-        finite ``limit``; a count to the end keeps none.
+        finite ``limit``, for at most ``limit`` facets; a count keeps none.
 
         At index 0 a gradient arc runs from (v, e) to every cover from the
         other end w of e, so an acyclic matching is a forest of rooted
@@ -919,9 +919,7 @@ class MorseComplex:
         first that leaves one, or else the fewest), and is cut when a u that
         is no candidate leaves none.  Branch i excludes the branches before
         it, so each facet is found once.  The walk stops with
-        EnumerationBudgetError once the count passes ``limit``, or once its
-        records hold over ``cap`` facets (a memory guard, checked every
-        4,096 nodes).
+        EnumerationBudgetError once the count passes ``limit``.
         """
         conflict = self._conflict
         covers, children = self.hasse.covers, self.hasse.children
@@ -953,9 +951,6 @@ class MorseComplex:
             steps += 1
             if steps % 4096 == 0:
                 _check_deadline(deadline, "enumerating layer matchings")
-                if keep and stored > cap:
-                    raise EnumerationBudgetError(
-                        f"a single index layer has over {cap} matchings")
             # the pivot: a cover of the avail with few candidates that rule
             # it out, itself included
             branch, fewest = cand, cand.bit_count()
@@ -1007,19 +1002,18 @@ class MorseComplex:
         term is non-negative, so the running total can refuse at ``limit``
         before the rest of the walk is taken.
 
-        ``lister(deadline)`` yields each facet once, as a sorted global
-        cover id tuple; called only after a count within a finite
-        ``limit``, the only one under which either engine keeps what the
-        lister walks: the graph walk its records, the layered count its
-        index-1 matchings.
+        ``lister()`` yields each facet once, as a sorted global cover id
+        tuple, under the deadline the count ran under; called only after a
+        count within a finite ``limit``, the only one under which either
+        engine keeps what the lister walks: the graph walk its records, the
+        layered count its index-1 matchings.
         """
         deadline = budget.deadline()
         blocks, sbit, tbit = self._layers()
-        cap = max(10 * budget.max_facets, 10 ** 6)
         if list(blocks) == [0]:
-            records, total = self._forest_matchings(blocks[0], deadline, cap, limit)
+            records, total = self._forest_matchings(blocks[0], deadline, limit)
 
-            def lister(deadline: float):
+            def lister():
                 listed = 0
                 for mask, leaves in records:
                     ids = _ids(mask)
@@ -1035,6 +1029,7 @@ class MorseComplex:
 
             return total, lister
         ranges = [blocks[k] for k in sorted(blocks)]
+        cap = max(10 * budget.max_facets, 10 ** 6)
         walks = [self._layer_matchings(block, sbit, tbit, deadline, cap) for block in ranges]
         count = _LayeredCount(walks, ranges, sbit, tbit, deadline)
         return count.total(limit), count.facets
@@ -1043,7 +1038,9 @@ class MorseComplex:
         """Exact number of facets (maximal acyclic matchings), counted to the
         end: time-guarded but not bounded by the facet budget, since
         counting lists nothing.  A graph's count is the sum of the popcounts
-        of its walk's leaf masks, and keeps no records."""
+        of its walk's leaf masks, and keeps no records.  Other complexes
+        store their index-0 and upper-layer matchings, each layer's walk
+        capped at ``max(10 * max_facets, 10 ** 6)`` (index 1's as well)."""
         if self.n_pairs == 0:
             return 0
         total, _ = self._facet_engine(self.budget)
@@ -1054,12 +1051,13 @@ class MorseComplex:
 
         Raises EnumerationBudgetError as soon as the count passes
         ``budget.max_facets``, before anything is listed; the message gives
-        the count reached so far, a lower bound on the number of facets."""
+        the count reached so far, a lower bound on the number of facets.
+        The count and the listing share one ``budget.max_seconds``."""
         budget = self.budget
         if self.n_pairs == 0:
             return ()
         total, lister = self._facet_engine(budget, budget.max_facets)
-        facets = sorted(lister(budget.deadline()))
+        facets = sorted(lister())
         if len(facets) != total:
             raise TheoremContradictionError(
                 f"facet lister produced {len(facets)} facets but the count is {total}")

@@ -4,12 +4,13 @@ Every deadline is set by ``Budget.deadline`` and checked by
 ``_check_deadline``, both on ``budget.py``'s clock.  Replacing that module's
 ``time`` with a clock that advances one unit per read makes a budget of s
 seconds run out at the (s + 1)-th check after its deadline was set, on any
-machine.  Each test raises its budget from 0 until the path stops in the
-phase it covers, and checks the phases named on the way.
+machine.  Most tests raise their budget from 0 until the path stops in the
+phase it covers, and check the phases named on the way.
 """
 
 import ast
 import itertools
+import math
 import pathlib
 import random
 import types
@@ -80,6 +81,22 @@ def test_single_layer_lister_deadline():
     seen = stops(lambda s: morse_complex(complete_graph(7), Budget(max_seconds=s))
                  .facets(), "listing facets")
     assert set(seen[:-1]) == {"enumerating layer matchings"}
+
+
+def test_count_and_listing_share_one_deadline(monkeypatch):
+    # facets() sets one deadline and counts and lists under it, so the
+    # least budget under which it completes is every clock read it makes
+    # after setting that deadline; a listing on a clock of its own would
+    # complete under less
+    for K in (complete_graph(7), full_simplex("abcd")):
+        reads = itertools.count()
+        monkeypatch.setattr(morsecomplex.budget, "time",
+                            types.SimpleNamespace(monotonic=lambda: next(reads)))
+        morse_complex(K, Budget(max_seconds=math.inf)).facets()
+        after_deadline = next(reads) - 1
+        morse_complex(K, Budget(max_seconds=after_deadline)).facets()
+        with pytest.raises(EnumerationBudgetError, match="listing facets"):
+            morse_complex(K, Budget(max_seconds=after_deadline - 1)).facets()
 
 
 def test_dimension_deadline():

@@ -6,12 +6,14 @@ describing one object; these tests pin them against each other on corpora
 larger than the power-set oracle can reach.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
-from morsecomplex import (Budget, HasseDiagram, Multigraph, is_acyclic,
+from morsecomplex import (Budget, HasseDiagram, Multigraph, closure, is_acyclic,
                           is_matching, morse_complex)
-from morsecomplex.corpus import (connected_complexes, connected_graphs,
-                                 connected_multigraphs, cycle_graph, full_simplex,
+from morsecomplex.corpus import (boundary_simplex, connected_complexes,
+                                 connected_graphs, connected_multigraphs,
+                                 cycle_graph, full_simplex, graph_from_edges,
                                  path_graph, star_graph)
 
 BIG = Budget(max_facets=10**7, max_seconds=300.0)
@@ -99,6 +101,62 @@ def test_path_cycle_and_star_facets_against_independent_counts():
             assert set(map(frozenset, M.facets())) == expected
     for n in range(1, 13):
         assert morse_complex(star_graph(n)).facet_count() == n + 1
+
+
+def rooted_spanning_trees(n, edges):
+    """n times the number of spanning trees of the multigraph on vertices
+    0..n-1 with the given (u, v) edges, a parallel edge listed once per
+    copy: n times the determinant of its Laplacian less row and column 0
+    (Kirchhoff, 1847), by elimination in exact rationals."""
+    L = [[Fraction(0)] * n for _ in range(n)]
+    for u, v in edges:
+        L[u][u] += 1
+        L[v][v] += 1
+        L[u][v] -= 1
+        L[v][u] -= 1
+    A = [row[1:] for row in L[1:]]
+    det = Fraction(1)
+    for i in range(n - 1):
+        p = next((r for r in range(i, n - 1) if A[r][i]), None)
+        if p is None:
+            return 0
+        if p != i:
+            A[i], A[p] = A[p], A[i]
+            det = -det
+        det *= A[i][i]
+        for r in range(i + 1, n - 1):
+            f = A[r][i] / A[i][i]
+            for c in range(i, n - 1):
+                A[r][c] -= f * A[i][c]
+    return n * det
+
+
+def test_facet_counts_against_closed_forms():
+    # closed forms that share no code with the facet engine.  A facet of a
+    # connected graph is a rooted forest with no root adjacent to a vertex
+    # of another tree; in a complete multipartite graph two roots in one
+    # part are adjacent to every vertex outside it, and two in different
+    # parts to each other, so every facet is a rooted spanning tree: n *
+    # tau(G).  A parallel copy of a forest edge closes a gradient cycle, so
+    # a complete multigraph's facets are its rooted spanning trees too, one
+    # per choice of edge in each class.  Gradient paths stay inside a
+    # component, so M(K + L) is the join M(K) * M(L) and the counts multiply
+    for sizes, count in (((3, 4), 3_024), ((2, 2, 2), 2_304)):
+        part = [k for k, size in enumerate(sizes) for _ in range(size)]
+        n = len(part)
+        edges = [(u, v) for u, v in combinations(range(n), 2) if part[u] != part[v]]
+        assert rooted_spanning_trees(n, edges) == count
+        assert morse_complex(graph_from_edges(n, edges)).facet_count() == count
+    classes = [(u, v, 1 + (u + 2 * v) % 3) for u, v in combinations(range(5), 2)]
+    G = Multigraph.from_edges((f"e{u}{v}{i}", f"v{u}", f"v{v}")
+                              for u, v, m in classes for i in range(m))
+    assert rooted_spanning_trees(5, [(u, v) for u, v, m in classes for _ in range(m)]) == 16_640
+    assert morse_complex(G).facet_count() == 16_640
+    bd3, d3 = boundary_simplex("abcd"), full_simplex("efgh")
+    union = closure(bd3.label_facets() + d3.label_facets())
+    assert morse_complex(bd3).facet_count() == 352
+    assert morse_complex(d3).facet_count() == 784
+    assert morse_complex(union).facet_count() == 352 * 784 == 275_968
 
 
 def test_minimal_nonfaces_against_brute_force():

@@ -5,9 +5,9 @@ import pytest
 from morsecomplex import Multigraph, morse_complex
 from morsecomplex.corpus import connected_complexes, full_simplex
 from morsecomplex.errors import ParseError
-from morsecomplex.formats import (pair_table_lines, parse_complex,
-                                  parse_multigraph, serialize_complex,
-                                  serialize_morse_complex, serialize_multigraph,
+from morsecomplex.formats import (morse_complex_chunks, pair_table_lines,
+                                  parse_complex, parse_multigraph,
+                                  serialize_complex, serialize_multigraph,
                                   sniff_and_parse)
 
 
@@ -79,7 +79,7 @@ def test_pair_table_lines():
 
 def test_morse_file_is_valid_complex_file():
     M = morse_complex(full_simplex("abc"))
-    text = serialize_morse_complex(M)
+    text = "".join(morse_complex_chunks(M))
     K = parse_complex(text)
     assert K == M.as_complex()
     # pair table rows survive in the comments

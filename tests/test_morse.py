@@ -4,6 +4,7 @@ import gc
 import hashlib
 import math
 import sys
+import types
 from itertools import combinations
 
 import pytest
@@ -381,18 +382,23 @@ def test_morse_complex_keeps_no_listing():
     assert not any(v is L for v in vars(M).values() for L in listings)
 
 
-def test_graph_facet_listing_time_budget_error():
+def test_graph_facet_listing_time_budget_error(monkeypatch):
     # K7's walk takes more than 4096 steps, so it stops on an expired budget
     M = morse_complex(complete_graph(7), Budget(max_seconds=0))
     with pytest.raises(EnumerationBudgetError):
         M.facets()
-    # the lister itself checks its deadline at least every 4,096 facets
-    budget = Budget()
+    # the lister checks the deadline its count ran under at least every
+    # 4,096 facets: a clock that passes it once the count is done stops it
+    now = [0.0]
+    monkeypatch.setattr("morsecomplex.budget.time",
+                        types.SimpleNamespace(monotonic=lambda: now[0]))
+    budget = Budget(max_seconds=1)
     total, lister = morse_complex(complete_graph(7))._facet_engine(budget, budget.max_facets)
     assert total == 117_649
+    now[0] = 2.0
     listed = 0
     with pytest.raises(EnumerationBudgetError, match="listing facets"):
-        for _ in lister(-math.inf):
+        for _ in lister():
             listed += 1
     assert listed <= 4096
 
@@ -456,9 +462,9 @@ def check_closing_members(M):
     blocks, sbit, tbit = M._layers()
     assert list(blocks) == [0]
     block = blocks[0]
-    records, count = M._forest_matchings(block, float("inf"), 10 ** 7, 10 ** 6)
+    records, count = M._forest_matchings(block, float("inf"), 10 ** 6)
     # a count to the end keeps no records
-    assert M._forest_matchings(block, float("inf"), 10 ** 7, math.inf) == ([], count)
+    assert M._forest_matchings(block, float("inf"), math.inf) == ([], count)
     stored = set()
     for mask, leaves in records:
         assert leaves and not leaves & mask

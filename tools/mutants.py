@@ -105,6 +105,11 @@ MUTANTS = (
            "        keep = records.append if limit < math.inf else None\n",
            "        keep = records.append\n",
            ("tests/test_morse.py::test_closing_layer_members_from_scratch",)),
+    Mutant("graph-listing-on-a-fresh-clock", "src/morsecomplex/morse.py",
+           "            def lister():\n                listed = 0\n",
+           "            def lister():\n                deadline = budget.deadline()\n"
+           "                listed = 0\n",
+           ("tests/test_budget.py::test_count_and_listing_share_one_deadline",)),
     Mutant("build-written-as-one-string", "src/morsecomplex/cli.py",
            "    for chunk in morse_complex_chunks(M):\n        sys.stdout.write(chunk)\n",
            "    sys.stdout.write(\"\".join(morse_complex_chunks(M)))\n",

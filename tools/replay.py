@@ -2,14 +2,14 @@
 two hash seeds, and check that every run prints the same thing.
 
 The script writes its inputs (two relabelled complexes, two relabelled
-multigraphs, a graph, a tetrahedron, the full 4-simplex and its boundary, and
-the complete graph K7) to a temporary directory.  It runs each command as
-``<python> -m morsecomplex.cli ...`` with ``src/`` on PYTHONPATH, under every
-interpreter named on its command line (default: the one running the script),
-once with PYTHONHASHSEED 0 and once with 1.  It exits 1 when any run's exit
-code, stdout or stderr differs from the first run of the same command.  It
-uses the standard library only, so it runs under interpreters that have no
-pytest.
+multigraphs, a graph, a tetrahedron, the full 4-simplex and its boundary, the
+complete graph K7 and the 6-vertex real projective plane) to a temporary
+directory.  It runs each command as ``<python> -m morsecomplex.cli ...`` with
+``src/`` on PYTHONPATH, under every interpreter named on its command line
+(default: the one running the script), once with PYTHONHASHSEED 0 and once
+with 1.  It exits 1 when any run's exit code, stdout or stderr differs from
+the first run of the same command.  It uses the standard library only, so it
+runs under interpreters that have no pytest.
 
 Run from anywhere:  python tools/replay.py [PYTHON ...]
 """
@@ -41,6 +41,9 @@ INPUTS = {
     "bd4.cx": "a b c d\na b c e\na b d e\na c d e\nb c d e\n",
     # 117,649 facets: build writes them in several chunks
     "k7.cx": "".join(f"v{i} v{j}\n" for i, j in combinations(range(7), 2)),
+    # refused with exit 2 under --budget-facets 100000: two layers, so the
+    # refusal comes in the branch of the count where index 1 is the last
+    "rp2.cx": "1 2 3\n1 3 4\n1 4 5\n1 5 6\n1 6 2\n2 3 5\n3 4 6\n4 5 2\n5 6 3\n6 2 4\n",
 }
 
 COMMANDS = (
@@ -50,6 +53,7 @@ COMMANDS = (
     ("build", "d4.cx"),
     ("build", "bd4.cx"),
     ("build", "k7.cx"),
+    ("build", "rp2.cx", "--budget-facets", "100000"),
     ("reconstruct", "k.cx", "l.cx"),
     ("reconstruct", "g.mg", "h.mg"),
     ("iso", "k.cx", "l.cx"),
